@@ -4,11 +4,15 @@ Layout:
 
 * :mod:`repro.harness.presets` — the fast (default) and paper-scale
   experiment presets, plus pair/trio workload enumeration.
-* :mod:`repro.harness.runner` — memoised isolated and co-run execution.
-* :mod:`repro.harness.parallel` — process-pool sweep fan-out
-  (:class:`ParallelCaseRunner`).
+* :mod:`repro.harness.runner` — memoised isolated and co-run execution,
+  and the one claim loop that co-run and serving sweeps share, serial or
+  over a process pool.
+* :mod:`repro.harness.parallel` — :class:`ParallelCaseRunner`, a case
+  runner whose pool width defaults to ``REPRO_WORKERS`` or the CPU count.
 * :mod:`repro.harness.cache` — persistent on-disk case store shared by all
   figures and invocations.
+* :mod:`repro.harness.expdb` — the experiment store sweeps register in
+  and claim cases from (``repro exp``).
 * :mod:`repro.harness.metrics` — QoSreach, normalized throughput, overshoot,
   miss histograms.
 * :mod:`repro.harness.experiments` — one entry point per paper figure/table.

@@ -12,10 +12,11 @@ result depends on:
 * kernel names, QoS flags and goal fractions, and the policy name,
 * measured cycles and warm-up cycles,
 * a **code salt**: a digest of the source of every package that affects
-  simulation outcomes (`sim`, `qos`, `kernels`, `baselines`, `sharing`,
-  `power`, `config`, and the runner itself).  Editing any of those files
-  invalidates the whole cache automatically; docs/harness-report edits do
-  not.
+  simulation outcomes (`config`, `isa`, `kernels`, `sim`, `qos`,
+  `baselines`, `controllers`, `sharing`, `power`, `osched`, `serve`, and
+  the harness runner, cache and experiment store — :data:`_SALTED`).
+  Editing any of those files invalidates the whole cache automatically;
+  docs/harness-report edits do not.
 
 Opt-out / relocation via the ``REPRO_CACHE`` environment variable: ``0`` /
 ``off`` disables persistence entirely, any other value is used as the cache
@@ -167,12 +168,16 @@ def sweep_grid_payload(gpu: GPUConfig, cycles: int, warmup: int,
     return payload
 
 
+#: ``kind`` of a serving sweep's grid payload (co-run grids: ``experiment``).
+SERVE_GRID_KIND = "serve-experiment"
+
+
 def serve_grid_payload(gpu: GPUConfig,
                        spec_payloads: Sequence[dict]) -> dict:
     """The JSON-able description of one serving sweep (a load sweep is a
     grid of :class:`repro.serve.runner.ServeSpec` payloads on one machine)."""
     payload = {"gpu": dataclasses.asdict(gpu), "salt": code_salt(),
-               "kind": "serve-experiment", "specs": list(spec_payloads)}
+               "kind": SERVE_GRID_KIND, "specs": list(spec_payloads)}
     return payload
 
 

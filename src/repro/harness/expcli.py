@@ -9,8 +9,9 @@ Subcommands::
     exp resume <id>       pull the remaining pending cases of an experiment
     exp gc                drop experiments stale under the current code salt
 
-``resume`` rebuilds the exact runner from the stored grid — machine config,
-cycle counts, telemetry flag and spec list all come from the experiment row
+``resume`` rebuilds the exact runner from the stored grid — a co-run
+runner from machine config, cycle counts, telemetry flag and spec list, or
+a serving runner from machine config and serving specs, by the grid's kind
 — and re-enters the ordinary pull loop: cases already done are skipped,
 cases left ``running``/``failed`` by the interrupted run are released back
 to pending, and the records produced are byte-identical to an uninterrupted
@@ -95,7 +96,7 @@ def _list_command(db) -> int:
 
 
 def _show_command(db, experiment_id: str) -> int:
-    from repro.harness.cache import code_salt
+    from repro.harness.cache import SERVE_GRID_KIND, code_salt
     record = db.experiment(experiment_id)
     if record is None:
         print(f"unknown experiment {experiment_id!r}", file=sys.stderr)
@@ -110,8 +111,13 @@ def _show_command(db, experiment_id: str) -> int:
     print(f"machine:    {grid['gpu']['num_sms']} SMs, "
           f"{grid['gpu']['num_mcs']} MCs, engine core "
           f"{grid['gpu']['engine_core']}")
-    print(f"cycles:     {grid['cycles']} (+{grid['warmup']} warm-up), "
-          f"telemetry {'on' if grid['telemetry'] else 'off'}")
+    if grid.get("kind") == SERVE_GRID_KIND:
+        horizons = sorted({spec["horizon_cycles"] for spec in grid["specs"]})
+        print(f"horizon:    {', '.join(map(str, horizons))} cycles, "
+              f"{len(grid['specs'])} serving specs")
+    else:
+        print(f"cycles:     {grid['cycles']} (+{grid['warmup']} warm-up), "
+              f"telemetry {'on' if grid['telemetry'] else 'off'}")
     print(f"cases:      {record['total_cases']}")
     for status, count in sorted(db.case_counts(experiment_id).items()):
         print(f"  {status:<9} {count}")
@@ -203,12 +209,30 @@ def _diff_command(db, id_a: str, id_b: str) -> int:
     return 0
 
 
-def _resume_command(db, experiment_id: str, workers: Optional[int],
-                    no_cache: bool) -> int:
+def _runner_for(grid: dict, db, workers: Optional[int], no_cache: bool):
+    """The runner and spec list that re-enter a stored grid's pull loop:
+    a serving runner for serving grids, a co-run runner otherwise."""
     from repro.config import gpu_config_from_dict
-    from repro.harness.cache import code_salt, open_default_cache
+    from repro.harness.cache import SERVE_GRID_KIND, open_default_cache
+
+    gpu = gpu_config_from_dict(grid["gpu"])
+    cache = None if no_cache else open_default_cache()
+    if grid.get("kind") == SERVE_GRID_KIND:
+        from repro.serve.runner import ServeRunner, ServeSpec
+        return (ServeRunner(gpu, cache=cache, expdb=db, workers=workers),
+                [ServeSpec.from_payload(payload) for payload in grid["specs"]])
     from repro.harness.parallel import ParallelCaseRunner
     from repro.harness.runner import CaseSpec
+    runner = ParallelCaseRunner(
+        gpu, grid["cycles"], warmup_cycles=grid["warmup"], cache=cache,
+        workers=workers, telemetry=bool(grid["telemetry"]), expdb=db)
+    return runner, [CaseSpec.from_payload(payload)
+                    for payload in grid["specs"]]
+
+
+def _resume_command(db, experiment_id: str, workers: Optional[int],
+                    no_cache: bool) -> int:
+    from repro.harness.cache import code_salt
 
     record = db.experiment(experiment_id)
     if record is None:
@@ -223,13 +247,7 @@ def _resume_command(db, experiment_id: str, workers: Optional[int],
     before = db.case_counts(experiment_id)
     pending = sum(count for status, count in before.items()
                   if status != "done")
-    grid = record["grid"]
-    runner = ParallelCaseRunner(
-        gpu_config_from_dict(grid["gpu"]), grid["cycles"],
-        warmup_cycles=grid["warmup"],
-        cache=None if no_cache else open_default_cache(),
-        workers=workers, telemetry=bool(grid["telemetry"]), expdb=db)
-    specs = [CaseSpec.from_payload(payload) for payload in grid["specs"]]
+    runner, specs = _runner_for(record["grid"], db, workers, no_cache)
     records = runner.sweep(specs)
     after = db.case_counts(experiment_id)
     print(f"{experiment_id}: {after.get('done', 0)}/{len(records)} cases "

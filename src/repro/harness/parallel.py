@@ -1,82 +1,24 @@
-"""Parallel sweep execution over a process pool.
+"""Parallel sweep execution: the pool-width default for co-run sweeps.
 
-A figure sweep is 60-900 *independent* co-run cases; the serial
-:class:`~repro.harness.runner.CaseRunner` claims and runs them one after
-another in one interpreter.  :class:`ParallelCaseRunner` keeps the exact
-same results contract — records keyed and ordered by case key, never by
-completion order — while fanning the pending work out over a
-:class:`concurrent.futures.ProcessPoolExecutor`:
-
-1. the **isolated IPCs** every normalisation divides by are computed first,
-   as their own parallel batch, persisted into the experiment store (so a
-   resumed sweep never re-simulates a denominator) and seeded into every
-   pool worker **once, at pool construction** — per-case task payloads
-   carry only the :class:`CaseSpec` itself, not a copy of the machine and
-   denominator state;
-2. the parent **pulls** pending cases from the experiment store
-   (claim-by-update, same protocol as the serial runner) and submits the
-   ones that miss the memo and persistent cache; each worker is a
-   throwaway serial ``CaseRunner`` — which is what guarantees parallel
-   records are bit-identical to serial ones (the simulator itself is
-   deterministic);
-3. results land in the memo and persistent cache, cases flip to ``done``
-   in the store, and the sweep returns records in input order.
-
-Worker count comes from (in priority order) the constructor, the
-``REPRO_WORKERS`` environment variable, and ``os.cpu_count() - 1``.  With
-one worker — or when the platform refuses to give us a process pool — the
-sweep silently degrades to the serial claim loop.
+The claim loop itself — serial and over a
+:class:`concurrent.futures.ProcessPoolExecutor` — lives in
+:class:`repro.harness.runner.SweepRunner`, shared by co-run and serving
+sweeps.  :class:`ParallelCaseRunner` is a
+:class:`~repro.harness.runner.CaseRunner` whose pool width comes from (in
+priority order) the constructor, the ``REPRO_WORKERS`` environment
+variable, and ``os.cpu_count() - 1``; :func:`resolve_workers` is that
+resolution.  Records stay keyed and ordered by case, never by completion
+order, and are identical to a serial sweep's.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.config import GPUConfig
-from repro.harness.runner import (CaseRecord, CaseRunner, CaseSpec,
-                                  RegisteredSweep)
+from repro.harness.runner import CaseRunner, resolve_workers
 
-ENV_WORKERS = "REPRO_WORKERS"
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument > ``REPRO_WORKERS`` > ``cpu_count() - 1`` (min 1)."""
-    if workers is None:
-        env = os.environ.get(ENV_WORKERS, "").strip()
-        if env:
-            workers = int(env)
-        else:
-            workers = (os.cpu_count() or 2) - 1
-    return max(1, workers)
-
-
-# ----------------------------------------------------------------- workers
-# Module-level so they pickle.  Each pool worker builds ONE throwaway serial
-# CaseRunner at pool construction (the initializer) and reuses it for every
-# task it is handed: the machine description and isolated-IPC seed cross the
-# process boundary once per sweep instead of once per case, and the worker's
-# memo deduplicates within its share of the grid.  A throwaway serial runner
-# is exactly what makes parallel results identical to serial ones.
-
-_WORKER_RUNNER: Optional[CaseRunner] = None
-
-
-def _isolated_task(args: Tuple[GPUConfig, int, int, str]) -> float:
-    gpu, cycles, warmup, name = args
-    return CaseRunner(gpu, cycles, warmup).isolated_ipc(name)
-
-
-def _worker_init(gpu: GPUConfig, cycles: int, warmup: int, telemetry: bool,
-                 isolated: Dict[str, float]) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = CaseRunner(gpu, cycles, warmup, telemetry=telemetry)
-    _WORKER_RUNNER._isolated.update(isolated)
-
-
-def _run_spec_task(spec: CaseSpec) -> CaseRecord:
-    return _WORKER_RUNNER.run_case(spec.names, spec.qos_flags,
-                                   spec.goal_fractions, spec.policy)
+__all__ = ["ParallelCaseRunner", "resolve_workers"]
 
 
 class ParallelCaseRunner(CaseRunner):
@@ -89,173 +31,3 @@ class ParallelCaseRunner(CaseRunner):
         super().__init__(gpu, cycles, warmup_cycles, cache=cache,
                          telemetry=telemetry, expdb=expdb)
         self.workers = resolve_workers(workers)
-
-    # ----------------------------------------------------------- fan-out
-
-    def _map(self, function, argument_list: list) -> list:
-        """Run a batch through a pool, preserving input order; degrade to
-        the serial path when parallelism is pointless or unavailable."""
-        if self.workers <= 1 or len(argument_list) <= 1:
-            return [function(args) for args in argument_list]
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            max_workers = min(self.workers, len(argument_list))
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(function, argument_list, chunksize=1))
-        except (OSError, PermissionError, ImportError):
-            # Sandboxes without process spawning / semaphores: stay correct.
-            return [function(args) for args in argument_list]
-
-    def _pull_pending(self, sweep_reg: RegisteredSweep) -> None:
-        from concurrent.futures import BrokenExecutor
-        from repro.harness.expdb import PENDING
-
-        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
-        db.release_stale(experiment_id)
-        self._seed_isolated_from(sweep_reg)
-        pending = [CaseSpec.from_payload(row["spec"])
-                   for row in db.cases(experiment_id)
-                   if row["status"] == PENDING]
-        if not pending:
-            return
-        self._prefetch_isolated(pending)
-        self._record_isolated(
-            sweep_reg, [name for spec in pending for name in spec.names])
-        if self.workers <= 1 or len(pending) <= 1:
-            return super()._pull_pending(sweep_reg)
-        pool = self._open_pool(len(pending))
-        if pool is None:
-            return super()._pull_pending(sweep_reg)
-        try:
-            self._pull_through_pool(sweep_reg, pool)
-        except (BrokenExecutor, OSError, PermissionError, ImportError):
-            # The pool died under us (sandboxed spawn, lost semaphores):
-            # reclaim whatever was in flight and finish serially.
-            db.release_stale(experiment_id)
-            return super()._pull_pending(sweep_reg)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _open_pool(self, pending_count: int):
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            return ProcessPoolExecutor(
-                max_workers=min(self.workers, pending_count),
-                initializer=_worker_init,
-                initargs=(self.gpu, self.cycles, self.warmup_cycles,
-                          self.telemetry, dict(self._isolated)))
-        except (OSError, PermissionError, ImportError):
-            return None
-
-    def _pull_through_pool(self, sweep_reg: RegisteredSweep, pool) -> None:
-        """The parallel claim loop: keep up to ``workers`` claims in flight.
-
-        Claims that hit the memo or persistent cache are marked done
-        without touching the pool; duplicate specs attach to the already
-        in-flight future instead of simulating twice.  A worker exception
-        marks its case(s) failed and propagates; cases still in flight
-        stay ``running`` and are released back to ``pending`` by the next
-        run's :meth:`ExperimentDB.release_stale` — exactly like a crash.
-        """
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
-        worker = f"pool:{os.getpid()}"
-        completed = 0
-        inflight: Dict[object, Tuple[CaseSpec, List[int]]] = {}
-        by_key: Dict[tuple, object] = {}
-        drained = False
-        while True:
-            while not drained and len(inflight) < self.workers:
-                claim = db.claim_next(experiment_id, worker)
-                if claim is None:
-                    drained = True
-                    break
-                case_index, payload = claim
-                spec = CaseSpec.from_payload(payload)
-                if (spec.key in self._cases
-                        or self._load_cached_case(spec.key, spec)):
-                    db.mark_done(experiment_id, case_index)
-                    completed += 1
-                    self._fault_check(completed)
-                    continue
-                twin = by_key.get(spec.key)
-                if twin is not None:
-                    inflight[twin][1].append(case_index)
-                    continue
-                future = pool.submit(_run_spec_task, spec)
-                inflight[future] = (spec, [case_index])
-                by_key[spec.key] = future
-            if not inflight:
-                break
-            done_set, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done_set:
-                spec, case_indices = inflight.pop(future)
-                by_key.pop(spec.key, None)
-                try:
-                    record = future.result()
-                except BaseException as error:
-                    for case_index in case_indices:
-                        db.mark_failed(experiment_id, case_index, repr(error))
-                    raise
-                self._cases[spec.key] = record
-                self._store_case(spec, record)
-                for case_index in case_indices:
-                    db.mark_done(experiment_id, case_index)
-                    completed += 1
-                self._fault_check(completed)
-
-    # ------------------------------------------------------------ helpers
-
-    def _prefetch_isolated(self, specs: Sequence[CaseSpec]) -> None:
-        """Batch-compute every isolated IPC the pending cases will need
-        (the denominators of all outcome normalisations), in parallel."""
-        needed: List[str] = []
-        for spec in specs:
-            for name in spec.names:
-                if name not in self._isolated and name not in needed:
-                    needed.append(name)
-        if self.cache is not None:
-            from repro.harness.cache import isolated_key
-            still_needed = []
-            for name in needed:
-                cached = self.cache.get_isolated(isolated_key(
-                    self.gpu, name, self.cycles, self.warmup_cycles))
-                if cached is not None:
-                    self._isolated[name] = cached
-                else:
-                    still_needed.append(name)
-            needed = still_needed
-        if not needed:
-            return
-        argument_list = [(self.gpu, self.cycles, self.warmup_cycles, name)
-                         for name in needed]
-        for name, ipc in zip(needed, self._map(_isolated_task, argument_list)):
-            self._isolated[name] = ipc
-            if self.cache is not None:
-                from repro.harness.cache import isolated_key
-                self.cache.put_isolated(
-                    isolated_key(self.gpu, name, self.cycles,
-                                 self.warmup_cycles), ipc)
-
-    def _load_cached_case(self, key: tuple, spec: CaseSpec) -> bool:
-        if self.cache is None:
-            return False
-        from repro.harness.cache import case_key
-        cached = self.cache.get_case(case_key(
-            self.gpu, spec.names, spec.qos_flags, spec.goal_fractions,
-            spec.policy, self.cycles, self.warmup_cycles,
-            telemetry=self.telemetry))
-        if cached is None:
-            return False
-        self._cases[key] = cached
-        return True
-
-    def _store_case(self, spec: CaseSpec, record: CaseRecord) -> None:
-        if self.cache is None:
-            return
-        from repro.harness.cache import case_key
-        self.cache.put_case(case_key(
-            self.gpu, spec.names, spec.qos_flags, spec.goal_fractions,
-            spec.policy, self.cycles, self.warmup_cycles,
-            telemetry=self.telemetry), record)

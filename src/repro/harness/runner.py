@@ -1,4 +1,4 @@
-"""Memoised execution of isolated and co-run cases.
+"""Memoised execution of isolated and co-run cases, and the one sweep loop.
 
 Every figure consumes the same underlying (pair/trio x goal x scheme) runs,
 so :class:`CaseRunner` memoises by full case key: Figure 6, 8, 9 and 14 all
@@ -10,16 +10,26 @@ Two layers extend the in-process memo:
 * an optional persistent store (:class:`repro.harness.cache.CaseCache`)
   consulted on memo misses and fed on every fresh simulation, so sweeps
   survive across invocations;
-* :class:`repro.harness.parallel.ParallelCaseRunner`, which overrides
-  :meth:`CaseRunner.sweep` to fan independent cases out over a process
-  pool.  :class:`CaseSpec` is the declarative unit both layers share.
+* the experiment store (:class:`repro.harness.expdb.ExperimentDB`): every
+  sweep registers its grid there and *pulls* cases from it one claim at a
+  time, so an interrupted sweep resumes where it stopped.
+
+:class:`SweepRunner` holds the single claim loop that co-run sweeps and
+serving sweeps (:class:`repro.serve.runner.ServeRunner`) both run.  A
+runner plugs into it through a small job protocol: a spec type with
+``key``/``payload``/``from_payload``; a content key plus cache get/put
+for the memo-or-cache lookup, a fresh compute and the remember step; a
+grid payload; and a serial, uncached copy of itself for pool workers.
+With more than one worker the loop fans claims out over a process pool;
+otherwise it runs them on an in-process executor, so serial and parallel
+sweeps share every line of it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import SpartPolicy
 from repro.config import GPUConfig
@@ -96,7 +106,7 @@ class CaseSpec:
 
 
 class SweepInterrupted(RuntimeError):
-    """Raised by the fault-injection seam (:attr:`CaseRunner.fault_after`):
+    """Raised by the fault-injection seam (:attr:`SweepRunner.fault_after`):
     the controlled stand-in for a worker crash or a killed process that the
     interrupt/resume tests and the CI resume-smoke step rely on."""
 
@@ -189,38 +199,82 @@ class CaseRecord:
         return sum(k.ipc for k in self.kernels)
 
 
-class CaseRunner:
-    """Runs and memoises isolated and co-run simulations.
+ENV_WORKERS = "REPRO_WORKERS"
 
-    Every run discards a warm-up window (``warmup_cycles``, default two
-    epochs) before measurement starts, so the TB-dispatch ramp and cold
-    caches do not bias IPCs at short simulation windows.  The paper's
-    2M-cycle runs amortise the same ramp to nothing.
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Explicit argument > ``REPRO_WORKERS`` > ``cpu_count() - 1`` (min 1)."""
+    if workers is None:
+        env = os.environ.get(ENV_WORKERS, "").strip()
+        try:
+            workers = int(env) if env else (os.cpu_count() or 2) - 1
+        except ValueError:
+            raise ValueError(f"{ENV_WORKERS} must be an integer, "
+                             f"got {env!r}") from None
+    return max(1, workers)
+
+
+# ----------------------------------------------------------------- workers
+# Module-level so they pickle.  Each pool worker holds ONE serial, uncached
+# runner (built by the parent, installed by the initializer) and computes
+# every task it is handed on it: the machine description and the isolated-
+# IPC seed cross the process boundary once per pool instead of once per
+# case, and a throwaway serial runner is exactly what makes parallel
+# results identical to serial ones.
+
+_WORKER: Optional["SweepRunner"] = None
+
+
+def _worker_init(runner: "SweepRunner") -> None:
+    global _WORKER
+    _WORKER = runner
+
+
+def _compute_task(spec):
+    return _WORKER._compute(spec)
+
+
+def _isolated_task(name: str) -> float:
+    return _WORKER._simulate_isolated(name)
+
+
+def _completed(function: Callable, spec):
+    """Run ``function(spec)`` now and return its outcome as a finished
+    future: the in-process executor that serial sweeps claim through."""
+    from concurrent.futures import Future
+    future = Future()
+    try:
+        future.set_result(function(spec))
+    except Exception as error:
+        future.set_exception(error)
+    return future
+
+
+class SweepRunner:
+    """The memo, the persistent-cache lookup and the one claim loop that
+    :class:`CaseRunner` and :class:`repro.serve.runner.ServeRunner` share.
+
+    Subclasses supply the job protocol: :attr:`spec_type`;
+    :meth:`_content_key`, :meth:`_cache_get` and :meth:`_cache_put`;
+    :meth:`_compute`; :meth:`_grid`; and :meth:`_pool_worker`.
     """
 
-    def __init__(self, gpu: GPUConfig, cycles: int,
-                 warmup_cycles: Optional[int] = None, cache=None,
-                 telemetry: bool = False, expdb=None):
-        self.gpu = gpu
-        self.cycles = cycles
-        if warmup_cycles is None:
-            warmup_cycles = 2 * gpu.epoch_length
-        self.warmup_cycles = warmup_cycles
+    #: The spec type sweeps claim: ``key``, ``payload()``, ``from_payload``.
+    spec_type: type
+
+    def __init__(self, cache, expdb, workers: int):
         #: Optional :class:`repro.harness.cache.CaseCache`; consulted on memo
-        #: misses, fed on every fresh simulation.
+        #: misses, fed on every fresh compute.
         self.cache = cache
         #: Optional :class:`repro.harness.expdb.ExperimentDB`.  When set,
-        #: :meth:`sweep` registers its grid there and the sweep becomes
+        #: :meth:`_sweep` registers its grid there and the sweep becomes
         #: durable: interruptible, resumable (``repro exp resume``) and
         #: attributable (provenance ids in :attr:`experiment_log`).  When
         #: None, sweeps route through a throwaway in-memory store instead —
         #: same claim loop, zero persistence.
         self.expdb = expdb
-        #: When True, every co-run case carries its per-epoch telemetry
-        #: stream in :attr:`CaseRecord.telemetry` (isolated runs are never
-        #: telemetered — they only produce a scalar IPC).  Part of the cache
-        #: key: telemetry-bearing records are cached separately.
-        self.telemetry = telemetry
+        #: Process-pool width of sweeps; 1 claims and computes in-process.
+        self.workers = workers
         #: ``(experiment id, spec hash)`` of every sweep this runner
         #: registered in the *persistent* store, in registration order —
         #: the raw material of figure provenance lines.
@@ -229,8 +283,220 @@ class CaseRunner:
         #: of a sweep complete — the interrupt half of the interrupt/resume
         #: differential tests.  None (the default) never fires.
         self.fault_after: Optional[int] = None
+        self._memo: Dict[tuple, object] = {}
+        self._keys: Dict[tuple, str] = {}
+
+    @property
+    def cached_cases(self) -> int:
+        return len(self._memo)
+
+    # ------------------------------------------------------ memo and cache
+
+    def _run(self, spec):
+        """The memoised or cached result of ``spec``, else a fresh one."""
+        result = self._recall(spec)
+        if result is None:
+            result = self._compute(spec)
+            self._remember(spec, result)
+        return result
+
+    def _recall(self, spec):
+        """Memo, then persistent cache; None when neither has ``spec``."""
+        result = self._memo.get(spec.key)
+        if result is None and self.cache is not None:
+            result = self._cache_get(self._cache_key(spec))
+            if result is not None:
+                self._memo[spec.key] = result
+        return result
+
+    def _remember(self, spec, result) -> None:
+        self._memo[spec.key] = result
+        if self.cache is not None:
+            self._cache_put(self._cache_key(spec), result)
+
+    def _cache_key(self, spec) -> str:
+        """Content key of ``spec`` on this runner, computed once per spec."""
+        key = self._keys.get(spec.key)
+        if key is None:
+            key = self._keys[spec.key] = self._content_key(spec)
+        return key
+
+    # -------------------------------------------------------------- sweeps
+
+    def _sweep(self, specs: Sequence, register: bool) -> list:
+        """Register ``specs`` as an experiment, pull its pending cases, and
+        return every result in input order (see :meth:`CaseRunner.sweep`)."""
+        specs = list(specs)
+        if not specs:
+            return []
+        sweep_reg = self._register_sweep(specs, register)
+        try:
+            self._pull_pending(sweep_reg)
+        finally:
+            sweep_reg.db.finish(sweep_reg.experiment_id)
+            if not sweep_reg.persistent:
+                sweep_reg.db.close()
+        return [self._run(spec) for spec in specs]
+
+    def _register_sweep(self, specs: Sequence,
+                        register: bool) -> RegisteredSweep:
+        """Register the grid in the experiment store (idempotent: the same
+        grid under the same code always maps to the same experiment id)."""
+        from repro.harness.cache import (code_salt, experiment_id_for,
+                                         experiment_spec_hash)
+        from repro.harness.expdb import ExperimentDB
+
+        payloads = [spec.payload() for spec in specs]
+        grid = self._grid(payloads)
+        spec_hash = experiment_spec_hash(grid)
+        experiment_id = experiment_id_for(spec_hash)
+        persistent = register and self.expdb is not None
+        db = self.expdb if persistent else ExperimentDB(":memory:")
+        case_rows = [(payload, self._cache_key(spec))
+                     for spec, payload in zip(specs, payloads)]
+        db.register(experiment_id, spec_hash, code_salt(), grid, case_rows)
+        if persistent:
+            self.experiment_log.append((experiment_id, spec_hash))
+        return RegisteredSweep(db, experiment_id, spec_hash, persistent)
+
+    def _prepare(self, sweep_reg: RegisteredSweep, pending: list) -> None:
+        """Hook run once per sweep, before any pending case is claimed."""
+
+    def _pull_pending(self, sweep_reg: RegisteredSweep) -> None:
+        """Claim and run pending cases until the table is drained: on a
+        process pool when there are workers to spare, in-process otherwise
+        or when the platform refuses a pool or the pool breaks."""
+        from repro.harness.expdb import PENDING
+
+        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
+        db.release_stale(experiment_id)
+        pending = [self.spec_type.from_payload(row["spec"])
+                   for row in db.cases(experiment_id)
+                   if row["status"] == PENDING]
+        self._prepare(sweep_reg, pending)
+        if pending:
+            self._fan_out(len(pending),
+                          lambda pool: self._claim_loop(sweep_reg, pool),
+                          on_break=lambda: db.release_stale(experiment_id))
+
+    def _fan_out(self, jobs: int, run: Callable,
+                 on_break: Optional[Callable] = None):
+        """``run(pool)`` on a process pool sized for ``jobs``, or
+        ``run(None)`` in-process: with one worker or one job, when the
+        platform refuses a pool (sandboxes without process spawning), and
+        after ``on_break`` when the pool dies mid-run."""
+        if self.workers > 1 and jobs > 1:
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+            try:
+                pool = ProcessPoolExecutor(
+                    max_workers=min(self.workers, jobs),
+                    initializer=_worker_init,
+                    initargs=(self._pool_worker(),))
+            except (OSError, ImportError):
+                pool = None
+            if pool is not None:
+                try:
+                    return run(pool)
+                except (BrokenExecutor, OSError, ImportError):
+                    if on_break is not None:
+                        on_break()
+                finally:
+                    pool.shutdown(wait=False, cancel_futures=True)
+        return run(None)
+
+    def _claim_loop(self, sweep_reg: RegisteredSweep, pool) -> None:
+        """Claim cases until the table drains, keeping up to ``workers``
+        claims in flight on ``pool`` (one at a time when it is None).
+
+        Claims that hit the memo or persistent cache are marked done
+        without computing; duplicate specs attach to the already in-flight
+        future instead of computing twice.  A failing case is marked failed
+        and its exception propagates (the sweep aborts like a crashed
+        process would); everything already done stays done, and cases still
+        in flight stay ``running`` until the next run's
+        :meth:`ExperimentDB.release_stale` hands them back — so the next
+        run of the same grid resumes.
+        """
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
+        worker = f"{'serial' if pool is None else 'pool'}:{os.getpid()}"
+        width = 1 if pool is None else self.workers
+        completed = 0
+        inflight: Dict[object, Tuple[object, List[int]]] = {}
+        by_key: Dict[tuple, object] = {}
+        drained = False
+        while True:
+            while not drained and len(inflight) < width:
+                claim = db.claim_next(experiment_id, worker)
+                if claim is None:
+                    drained = True
+                    break
+                case_index, payload = claim
+                spec = self.spec_type.from_payload(payload)
+                if self._recall(spec) is not None:
+                    db.mark_done(experiment_id, case_index)
+                    completed += 1
+                    self._fault_check(completed)
+                    continue
+                twin = by_key.get(spec.key)
+                if twin is not None:
+                    inflight[twin][1].append(case_index)
+                    continue
+                future = (_completed(self._compute, spec) if pool is None
+                          else pool.submit(_compute_task, spec))
+                inflight[future] = (spec, [case_index])
+                by_key[spec.key] = future
+            if not inflight:
+                break
+            done_set, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            for future in done_set:
+                spec, case_indices = inflight.pop(future)
+                by_key.pop(spec.key, None)
+                try:
+                    result = future.result()
+                except BaseException as error:
+                    for case_index in case_indices:
+                        db.mark_failed(experiment_id, case_index, repr(error))
+                    raise
+                self._remember(spec, result)
+                for case_index in case_indices:
+                    db.mark_done(experiment_id, case_index)
+                    completed += 1
+                self._fault_check(completed)
+
+    def _fault_check(self, completed: int) -> None:
+        if self.fault_after is not None and completed >= self.fault_after:
+            raise SweepInterrupted(
+                f"fault injected after {completed} completed cases")
+
+
+class CaseRunner(SweepRunner):
+    """Runs and memoises isolated and co-run simulations.
+
+    Every run discards a warm-up window (``warmup_cycles``, default two
+    epochs) before measurement starts, so the TB-dispatch ramp and cold
+    caches do not bias IPCs at short simulation windows.  The paper's
+    2M-cycle runs amortise the same ramp to nothing.
+    """
+
+    spec_type = CaseSpec
+
+    def __init__(self, gpu: GPUConfig, cycles: int,
+                 warmup_cycles: Optional[int] = None, cache=None,
+                 telemetry: bool = False, expdb=None):
+        super().__init__(cache, expdb, workers=1)
+        self.gpu = gpu
+        self.cycles = cycles
+        if warmup_cycles is None:
+            warmup_cycles = 2 * gpu.epoch_length
+        self.warmup_cycles = warmup_cycles
+        #: When True, every co-run case carries its per-epoch telemetry
+        #: stream in :attr:`CaseRecord.telemetry` (isolated runs are never
+        #: telemetered — they only produce a scalar IPC).  Part of the cache
+        #: key: telemetry-bearing records are cached separately.
+        self.telemetry = telemetry
         self._isolated: Dict[str, float] = {}
-        self._cases: Dict[tuple, CaseRecord] = {}
         self._power = PowerModel(gpu)
 
     # ------------------------------------------------------------- isolated
@@ -269,24 +535,14 @@ class CaseRunner:
         ``goal_fractions`` are per-kernel fractions of isolated IPC; entries
         for non-QoS kernels are ignored and may be None.
         """
-        key = (tuple(names), tuple(qos_flags),
-               tuple(goal_fractions), policy)
-        if key in self._cases:
-            return self._cases[key]
-        cache_key = None
-        if self.cache is not None:
-            from repro.harness.cache import case_key
-            cache_key = case_key(self.gpu, names, qos_flags, goal_fractions,
-                                 policy, self.cycles, self.warmup_cycles,
-                                 telemetry=self.telemetry)
-            cached = self.cache.get_case(cache_key)
-            if cached is not None:
-                self._cases[key] = cached
-                return cached
+        return self._run(CaseSpec(tuple(names), tuple(qos_flags),
+                                  tuple(goal_fractions), policy))
 
+    def _compute(self, spec: CaseSpec) -> CaseRecord:
         launches = []
         goals = []
-        for name, is_qos, fraction in zip(names, qos_flags, goal_fractions):
+        for name, is_qos, fraction in zip(spec.names, spec.qos_flags,
+                                          spec.goal_fractions):
             if is_qos:
                 goal = fraction * self.isolated_ipc(name)
                 launches.append(LaunchedKernel(get_kernel(name), is_qos=True,
@@ -300,7 +556,7 @@ class CaseRunner:
         if self.telemetry:
             from repro.sim.telemetry import TelemetryRecorder
             recorder = TelemetryRecorder()
-        sim = GPUSimulator(self.gpu, launches, make_policy(policy),
+        sim = GPUSimulator(self.gpu, launches, make_policy(spec.policy),
                            telemetry=recorder)
         sim.run(self.warmup_cycles)
         sim.mark_measurement_start()
@@ -310,7 +566,7 @@ class CaseRunner:
 
         outcomes = []
         for launch, kernel_result, goal, fraction in zip(
-                launches, result.kernels, goals, goal_fractions):
+                launches, result.kernels, goals, spec.goal_fractions):
             outcomes.append(KernelOutcome(
                 name=kernel_result.name,
                 is_qos=launch.is_qos,
@@ -321,9 +577,9 @@ class CaseRunner:
                 intensity=intensity_class(kernel_result.name),
             ))
         power_w = self._power.average_power_w(result)
-        record = CaseRecord(
+        return CaseRecord(
             kernels=tuple(outcomes),
-            policy=policy,
+            policy=spec.policy,
             cycles=result.cycles,
             evictions=result.evictions,
             eviction_stall_cycles=result.eviction_stall_cycles,
@@ -331,10 +587,6 @@ class CaseRunner:
             instructions_per_watt=self._power.instructions_per_watt(result),
             telemetry=epoch_records,
         )
-        self._cases[key] = record
-        if cache_key is not None:
-            self.cache.put_case(cache_key, record)
-        return record
 
     # ---------------------------------------------------------------- sweeps
 
@@ -352,126 +604,92 @@ class CaseRunner:
         ``repro exp resume`` converge on records byte-identical to an
         uninterrupted run.
 
-        The serial implementation claims and runs one case at a time; the
-        parallel runner overrides :meth:`_pull_pending` to fan claims out
-        over a process pool.  Both return identical records for identical
-        inputs.  ``register=False`` keeps a sweep out of the persistent
-        store — for memo-slicing re-sweeps of grids already registered.
+        With :attr:`workers` above one, claims fan out over a process pool
+        whose workers are throwaway serial runners, so serial and parallel
+        sweeps return identical records for identical inputs.
+        ``register=False`` keeps a sweep out of the persistent store — for
+        memo-slicing re-sweeps of grids already registered.
         """
-        specs = list(cases)
-        if not specs:
-            return []
-        sweep_reg = self._register_sweep(specs, register)
-        try:
-            self._pull_pending(sweep_reg)
-        finally:
-            sweep_reg.db.finish(sweep_reg.experiment_id)
-            if not sweep_reg.persistent:
-                sweep_reg.db.close()
-        return [self.run_case(spec.names, spec.qos_flags,
-                              spec.goal_fractions, spec.policy)
-                for spec in specs]
+        return self._sweep(cases, register)
 
-    # ------------------------------------------------- experiment plumbing
+    # ----------------------------------------------------- job protocol
 
-    def _register_sweep(self, specs: Sequence[CaseSpec],
-                        register: bool) -> RegisteredSweep:
-        """Register the grid in the experiment store (idempotent: the same
-        grid under the same code always maps to the same experiment id)."""
-        from repro.harness.cache import (case_key, code_salt,
-                                         experiment_id_for,
-                                         experiment_spec_hash,
-                                         sweep_grid_payload)
-        from repro.harness.expdb import ExperimentDB
+    def _content_key(self, spec: CaseSpec) -> str:
+        from repro.harness.cache import case_key
+        return case_key(self.gpu, spec.names, spec.qos_flags,
+                        spec.goal_fractions, spec.policy, self.cycles,
+                        self.warmup_cycles, telemetry=self.telemetry)
 
-        payloads = [spec.payload() for spec in specs]
-        grid = sweep_grid_payload(self.gpu, self.cycles, self.warmup_cycles,
+    def _cache_get(self, key: str) -> Optional[CaseRecord]:
+        return self.cache.get_case(key)
+
+    def _cache_put(self, key: str, record: CaseRecord) -> None:
+        self.cache.put_case(key, record)
+
+    def _grid(self, payloads: List[dict]) -> dict:
+        from repro.harness.cache import sweep_grid_payload
+        return sweep_grid_payload(self.gpu, self.cycles, self.warmup_cycles,
                                   self.telemetry, payloads)
-        spec_hash = experiment_spec_hash(grid)
-        experiment_id = experiment_id_for(spec_hash)
-        persistent = register and self.expdb is not None
-        db = self.expdb if persistent else ExperimentDB(":memory:")
-        case_rows = [
-            (payload, case_key(self.gpu, spec.names, spec.qos_flags,
-                               spec.goal_fractions, spec.policy, self.cycles,
-                               self.warmup_cycles, telemetry=self.telemetry))
-            for spec, payload in zip(specs, payloads)]
-        db.register(experiment_id, spec_hash, code_salt(), grid, case_rows)
-        if persistent:
-            self.experiment_log.append((experiment_id, spec_hash))
-        return RegisteredSweep(db, experiment_id, spec_hash, persistent)
 
-    def _seed_isolated_from(self, sweep_reg: RegisteredSweep) -> None:
-        """Adopt isolated-IPC denominators a previous (interrupted) run of
-        this experiment already computed, so resume never re-simulates
-        them — even with the persistent case cache disabled."""
-        for name, ipc in sweep_reg.db.isolated_ipcs(
-                sweep_reg.experiment_id).items():
-            self._isolated.setdefault(name, ipc)
+    def _pool_worker(self) -> "CaseRunner":
+        """A serial, uncached copy of this runner seeded with its isolated
+        IPCs, so pool workers never simulate a denominator."""
+        worker = CaseRunner(self.gpu, self.cycles, self.warmup_cycles,
+                            telemetry=self.telemetry)
+        worker._isolated.update(self._isolated)
+        return worker
 
-    def _record_isolated(self, sweep_reg: RegisteredSweep,
-                         names: Sequence[str]) -> None:
-        if not sweep_reg.persistent:
-            return
+    def _prepare(self, sweep_reg: RegisteredSweep,
+                 pending: List[CaseSpec]) -> None:
+        """Settle every isolated IPC the pending cases divide by — once per
+        sweep, before any case fans out.  Denominators a previous
+        (interrupted) run of this experiment stored are adopted, so resume
+        never re-simulates them even with the case cache disabled; the rest
+        come from the cache or are simulated, on the pool when there is
+        one, and are stored with the experiment."""
         from repro.harness.cache import isolated_key
+
+        def key(name: str) -> str:
+            return isolated_key(self.gpu, name, self.cycles,
+                                self.warmup_cycles)
+
+        def simulate(pool) -> List[float]:
+            if pool is None:
+                return [self._simulate_isolated(name) for name in missing]
+            return list(pool.map(_isolated_task, missing))
+
+        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
+        for name, ipc in db.isolated_ipcs(experiment_id).items():
+            self._isolated.setdefault(name, ipc)
+        names = list(dict.fromkeys(name for spec in pending
+                                   for name in spec.names))
+        missing = []
         for name in names:
             if name in self._isolated:
-                sweep_reg.db.record_isolated(
-                    sweep_reg.experiment_id, name,
-                    isolated_key(self.gpu, name, self.cycles,
-                                 self.warmup_cycles),
-                    self._isolated[name])
-
-    def _fault_check(self, completed: int) -> None:
-        if self.fault_after is not None and completed >= self.fault_after:
-            raise SweepInterrupted(
-                f"fault injected after {completed} completed cases")
-
-    def _pull_pending(self, sweep_reg: RegisteredSweep) -> None:
-        """Claim and run pending cases until the table is drained.
-
-        A case that raises is marked failed and the exception propagates
-        (the sweep aborts like a crashed process would); everything already
-        marked done stays done, so the next run of the same grid resumes.
-        """
-        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
-        db.release_stale(experiment_id)
-        self._seed_isolated_from(sweep_reg)
-        worker = f"serial:{os.getpid()}"
-        completed = 0
-        while True:
-            claim = db.claim_next(experiment_id, worker)
-            if claim is None:
-                break
-            case_index, payload = claim
-            spec = CaseSpec.from_payload(payload)
-            try:
-                self.run_case(spec.names, spec.qos_flags,
-                              spec.goal_fractions, spec.policy)
-            except BaseException as error:
-                db.mark_failed(experiment_id, case_index, repr(error))
-                raise
-            self._record_isolated(sweep_reg, spec.names)
-            db.mark_done(experiment_id, case_index)
-            completed += 1
-            self._fault_check(completed)
+                continue
+            cached = (self.cache.get_isolated(key(name))
+                      if self.cache is not None else None)
+            if cached is None:
+                missing.append(name)
+            else:
+                self._isolated[name] = cached
+        for name, ipc in zip(missing, self._fan_out(len(missing), simulate)):
+            self._isolated[name] = ipc
+            if self.cache is not None:
+                self.cache.put_isolated(key(name), ipc)
+        if sweep_reg.persistent:
+            for name in names:
+                db.record_isolated(experiment_id, name, key(name),
+                                   self._isolated[name])
 
     # ---------------------------------------------------------- conveniences
 
     def run_pair(self, qos: str, nonqos: str, goal: float,
                  policy: str) -> CaseRecord:
-        return self.run_case((qos, nonqos), (True, False), (goal, None), policy)
+        return self._run(CaseSpec.pair(qos, nonqos, goal, policy))
 
     def run_trio(self, names: Sequence[str], qos_count: int, goal: float,
                  policy: str) -> CaseRecord:
         """Run a trio with the first ``qos_count`` kernels as QoS kernels,
         all sharing the same goal fraction (the paper's trio protocol)."""
-        if not 1 <= qos_count < len(names):
-            raise ValueError("qos_count must leave at least one non-QoS kernel")
-        flags = tuple(i < qos_count for i in range(len(names)))
-        fractions = tuple(goal if flag else None for flag in flags)
-        return self.run_case(tuple(names), flags, fractions, policy)
-
-    @property
-    def cached_cases(self) -> int:
-        return len(self._cases)
+        return self._run(CaseSpec.trio(names, qos_count, goal, policy))

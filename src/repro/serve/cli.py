@@ -43,8 +43,7 @@ def parse_class(text: str) -> Tuple[str, str, int, int, float]:
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    from repro.harness.runner import POLICY_NAMES
-    from repro.serve.runner import PROCESS_NAMES
+    from repro.serve.runner import PROCESS_NAMES, SERVE_POLICIES
 
     parser = argparse.ArgumentParser(
         prog="repro-gpu-qos serve",
@@ -68,9 +67,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "(default: always)")
     parser.add_argument("--max-concurrent", type=int, default=4, metavar="N",
                         help="concurrent requests on the GPU (default: 4)")
-    parser.add_argument("--policy", default="smk", choices=POLICY_NAMES,
+    parser.add_argument("--policy", default="smk", choices=SERVE_POLICIES,
                         help="sharing scheme between concurrent requests "
-                             "(default: smk)")
+                             "(default: smk; the quota schemes and spart "
+                             "cannot serve kernels launched mid-run)")
     parser.add_argument("--class", dest="classes", action="append",
                         type=parse_class, metavar="NAME:KERNEL:SLO[:GRID[:W]]",
                         help="request class (repeatable; default: a "

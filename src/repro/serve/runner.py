@@ -2,38 +2,29 @@
 
 A serving evaluation is a grid of independent *serving cases* — one
 arrival process at one load level under one admission policy — exactly
-like a figure sweep is a grid of co-run cases.  This module gives serving
-cases the same three-layer execution contract co-run cases get from
-:class:`repro.harness.runner.CaseRunner`:
+like a figure sweep is a grid of co-run cases.  :class:`ServeRunner` is a
+:class:`repro.harness.runner.SweepRunner`, so serving cases get the same
+three-layer execution contract co-run cases get:
 
 * an in-process memo keyed by the full :class:`ServeSpec`;
 * the persistent :class:`repro.harness.cache.CaseCache` (entry kind
   ``serve``, keyed by :func:`repro.harness.cache.serve_key`, salted by the
   same code digest as co-run records);
 * pull-based sweeps through :class:`repro.harness.expdb.ExperimentDB`
-  (claim-by-update), so an interrupted load sweep resumes instead of
-  restarting and every sweep has a content-derived experiment id for
-  provenance.
-
-Parallelism is inlined rather than imported from
-:mod:`repro.harness.parallel`: this module sits inside the code-salt
-closure (serving results are cached), and pulling the generic pool runner
-in would drag an unsalted module into that closure (lint rule SALT001).
-The pool protocol is the same — module-level worker init + task functions
-so they pickle, one throwaway serial :class:`ServeRunner` per worker,
-graceful degradation to the serial claim loop when the platform refuses a
-process pool — which is what keeps parallel sweeps byte-identical to
-serial ones.
+  (claim-by-update) on the one claim loop co-run sweeps use — serial or
+  over a process pool of throwaway serial runners — so an interrupted
+  load sweep resumes instead of restarting, parallel sweeps are
+  byte-identical to serial ones, and every sweep has a content-derived
+  experiment id for provenance.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.config import GPUConfig
-from repro.harness.runner import SweepInterrupted, make_policy
+from repro.harness.runner import SweepRunner, make_policy, resolve_workers
 from repro.serve.arrivals import (ArrivalProcess, BurstyArrivals,
                                   DiurnalArrivals, PeriodicArrivals,
                                   PoissonArrivals, RequestClass)
@@ -42,26 +33,15 @@ from repro.serve.dispatcher import (AdmissionPolicy, AlwaysAdmit, Dispatcher,
 from repro.serve.metrics import (RequestRecord, request_record_from_dict,
                                  request_record_to_dict)
 
-ENV_WORKERS = "REPRO_WORKERS"
-
 #: Arrival-process names accepted by :attr:`ServeSpec.process`.
 PROCESS_NAMES = ("poisson", "bursty", "diurnal", "periodic")
 
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument > ``REPRO_WORKERS`` > ``cpu_count() - 1`` (min 1).
-
-    Same resolution order as the co-run harness, re-read here so this
-    module stays outside :mod:`repro.harness.parallel` (see module
-    docstring for why).
-    """
-    if workers is None:
-        env = os.environ.get(ENV_WORKERS, "").strip()
-        if env:
-            workers = int(env)
-        else:
-            workers = (os.cpu_count() or 2) - 1
-    return max(1, workers)
+#: Sharing policies a serving case can run under.  The quota schemes,
+#: ``pid``/``mpc`` and ``spart`` set up per-kernel state only for the
+#: kernels present when a run starts, and a served run starts empty and
+#: launches every request mid-run; they are refused up front
+#: (:meth:`ServeRunner.run_spec`) rather than crashing partway through.
+SERVE_POLICIES = ("smk",)
 
 
 @dataclass(frozen=True)
@@ -208,66 +188,31 @@ class ServeCaseOutcome:
             unfinished=int(value["unfinished"]))
 
 
-# ----------------------------------------------------------------- workers
-# Module-level so they pickle; one throwaway serial ServeRunner per pool
-# worker (built once, in the initializer), mirroring the co-run pool
-# protocol without importing it.
-
-_SERVE_WORKER: Optional["ServeRunner"] = None
-
-
-def _serve_worker_init(gpu: GPUConfig) -> None:
-    global _SERVE_WORKER
-    _SERVE_WORKER = ServeRunner(gpu, workers=1)
-
-
-def _run_serve_task(spec: ServeSpec) -> ServeCaseOutcome:
-    return _SERVE_WORKER.run_spec(spec)
-
-
-class ServeRunner:
+class ServeRunner(SweepRunner):
     """Runs and memoises serving cases; sweeps are pull-based experiments."""
+
+    spec_type = ServeSpec
 
     def __init__(self, gpu: GPUConfig, cache=None, expdb=None,
                  workers: Optional[int] = None):
+        super().__init__(cache, expdb, resolve_workers(workers))
         self.gpu = gpu
-        #: Optional :class:`repro.harness.cache.CaseCache`; consulted on
-        #: memo misses, fed on every fresh serve (entry kind ``serve``).
-        self.cache = cache
-        #: Optional :class:`repro.harness.expdb.ExperimentDB`; when set,
-        #: :meth:`sweep` registers its grid there and becomes resumable.
-        self.expdb = expdb
-        self.workers = resolve_workers(workers)
-        #: ``(experiment id, spec hash)`` of every sweep registered in the
-        #: *persistent* store — the provenance raw material.
-        self.experiment_log: List[Tuple[str, str]] = []
-        #: Test seam: raise :class:`SweepInterrupted` after this many cases
-        #: of a sweep complete.  None (the default) never fires.
-        self.fault_after: Optional[int] = None
-        self._outcomes: Dict[tuple, ServeCaseOutcome] = {}
 
     # --------------------------------------------------------------- running
 
     def run_spec(self, spec: ServeSpec) -> ServeCaseOutcome:
-        """Serve one case (memoised by the full spec)."""
-        if spec.key in self._outcomes:
-            return self._outcomes[spec.key]
-        cache_key = None
-        if self.cache is not None:
-            from repro.harness.cache import serve_key
-            cache_key = serve_key(self.gpu, spec.payload())
-            cached = self.cache.get_serve(cache_key)
-            if cached is not None:
-                outcome = ServeCaseOutcome.from_value(cached)
-                self._outcomes[spec.key] = outcome
-                return outcome
-        outcome = self._serve(spec)
-        self._outcomes[spec.key] = outcome
-        if cache_key is not None:
-            self.cache.put_serve(cache_key, outcome.to_value())
-        return outcome
+        """Serve one case (memoised by the full spec).
 
-    def _serve(self, spec: ServeSpec) -> ServeCaseOutcome:
+        Raises ValueError, before simulating or caching anything, when the
+        spec's sharing policy cannot serve (see :data:`SERVE_POLICIES`).
+        """
+        return self._run(spec)
+
+    def _compute(self, spec: ServeSpec) -> ServeCaseOutcome:
+        if spec.policy not in SERVE_POLICIES:
+            raise ValueError(
+                f"sharing policy {spec.policy!r} cannot serve requests "
+                f"launched mid-run; serving supports {SERVE_POLICIES}")
         requests = spec.build_process().generate(spec.horizon_cycles)
         dispatcher = Dispatcher(self.gpu, policy=make_policy(spec.policy),
                                 admission=spec.build_admission(),
@@ -288,172 +233,31 @@ class ServeRunner:
               register: bool = True) -> List[ServeCaseOutcome]:
         """Run a batch of serving cases, returning outcomes in input order.
 
-        Identical contract to :meth:`repro.harness.runner.CaseRunner.sweep`:
+        The same claim loop as :meth:`repro.harness.runner.CaseRunner.sweep`:
         the grid is registered in the experiment store (persistent when the
         runner has one and ``register`` is True, throwaway in-memory
         otherwise) and cases are pulled one claim at a time, so an
         interrupted load sweep resumes where it stopped and converges on
         outcomes byte-identical to an uninterrupted run.
         """
-        specs = list(specs)
-        if not specs:
-            return []
-        sweep_reg = self._register_sweep(specs, register)
-        try:
-            self._pull_pending(sweep_reg)
-        finally:
-            sweep_reg.db.finish(sweep_reg.experiment_id)
-            if not sweep_reg.persistent:
-                sweep_reg.db.close()
-        return [self.run_spec(spec) for spec in specs]
+        return self._sweep(specs, register)
 
-    def _register_sweep(self, specs: Sequence[ServeSpec], register: bool):
-        from repro.harness.cache import (code_salt, experiment_id_for,
-                                         experiment_spec_hash, serve_key,
-                                         serve_grid_payload)
-        from repro.harness.expdb import ExperimentDB
-        from repro.harness.runner import RegisteredSweep
+    # ----------------------------------------------------- job protocol
 
-        payloads = [spec.payload() for spec in specs]
-        grid = serve_grid_payload(self.gpu, payloads)
-        spec_hash = experiment_spec_hash(grid)
-        experiment_id = experiment_id_for(spec_hash)
-        persistent = register and self.expdb is not None
-        db = self.expdb if persistent else ExperimentDB(":memory:")
-        case_rows = [(payload, serve_key(self.gpu, payload))
-                     for payload in payloads]
-        db.register(experiment_id, spec_hash, code_salt(), grid, case_rows)
-        if persistent:
-            self.experiment_log.append((experiment_id, spec_hash))
-        return RegisteredSweep(db, experiment_id, spec_hash, persistent)
-
-    def _fault_check(self, completed: int) -> None:
-        if self.fault_after is not None and completed >= self.fault_after:
-            raise SweepInterrupted(
-                f"fault injected after {completed} completed serving cases")
-
-    def _pull_pending(self, sweep_reg) -> None:
-        """Claim and run pending cases until the table drains; fan out over
-        an inline process pool when the runner has more than one worker."""
-        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
-        db.release_stale(experiment_id)
-        if self.workers > 1:
-            from repro.harness.expdb import PENDING
-            pending = sum(1 for row in db.cases(experiment_id)
-                          if row["status"] == PENDING)
-            if pending > 1 and self._pull_through_pool(sweep_reg):
-                return
-        self._pull_serial(sweep_reg)
-
-    def _pull_serial(self, sweep_reg) -> None:
-        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
-        worker = f"serve-serial:{os.getpid()}"
-        completed = 0
-        while True:
-            claim = db.claim_next(experiment_id, worker)
-            if claim is None:
-                break
-            case_index, payload = claim
-            spec = ServeSpec.from_payload(payload)
-            try:
-                self.run_spec(spec)
-            except BaseException as error:
-                db.mark_failed(experiment_id, case_index, repr(error))
-                raise
-            db.mark_done(experiment_id, case_index)
-            completed += 1
-            self._fault_check(completed)
-
-    def _pull_through_pool(self, sweep_reg) -> bool:
-        """Parallel claim loop; returns False when no pool is available so
-        the caller falls back to the serial path (sandboxes without process
-        spawning stay correct, just slower)."""
-        try:
-            from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                            ProcessPoolExecutor, wait)
-            pool = ProcessPoolExecutor(max_workers=self.workers,
-                                       initializer=_serve_worker_init,
-                                       initargs=(self.gpu,))
-        except (OSError, PermissionError, ImportError):
-            return False
-        db, experiment_id = sweep_reg.db, sweep_reg.experiment_id
-        worker = f"serve-pool:{os.getpid()}"
-        completed = 0
-        inflight: Dict[object, Tuple[ServeSpec, List[int]]] = {}
-        by_key: Dict[tuple, object] = {}
-        drained = False
-        try:
-            while True:
-                while not drained and len(inflight) < self.workers:
-                    claim = db.claim_next(experiment_id, worker)
-                    if claim is None:
-                        drained = True
-                        break
-                    case_index, payload = claim
-                    spec = ServeSpec.from_payload(payload)
-                    if spec.key in self._outcomes or self._load_cached(spec):
-                        db.mark_done(experiment_id, case_index)
-                        completed += 1
-                        self._fault_check(completed)
-                        continue
-                    twin = by_key.get(spec.key)
-                    if twin is not None:
-                        inflight[twin][1].append(case_index)
-                        continue
-                    future = pool.submit(_run_serve_task, spec)
-                    inflight[future] = (spec, [case_index])
-                    by_key[spec.key] = future
-                if not inflight:
-                    break
-                done_set, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done_set:
-                    spec, case_indices = inflight.pop(future)
-                    by_key.pop(spec.key, None)
-                    try:
-                        outcome = future.result()
-                    except SweepInterrupted:
-                        raise
-                    except BaseException as error:
-                        if isinstance(error, (BrokenExecutor, OSError,
-                                              PermissionError)):
-                            # The pool died under us: release the in-flight
-                            # claims and let the serial path finish.
-                            db.release_stale(experiment_id)
-                            return False
-                        for case_index in case_indices:
-                            db.mark_failed(experiment_id, case_index,
-                                           repr(error))
-                        raise
-                    self._outcomes[spec.key] = outcome
-                    self._store_outcome(spec, outcome)
-                    for case_index in case_indices:
-                        db.mark_done(experiment_id, case_index)
-                        completed += 1
-                    self._fault_check(completed)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return True
-
-    # ------------------------------------------------------------ cache glue
-
-    def _load_cached(self, spec: ServeSpec) -> bool:
-        if self.cache is None:
-            return False
+    def _content_key(self, spec: ServeSpec) -> str:
         from repro.harness.cache import serve_key
-        cached = self.cache.get_serve(serve_key(self.gpu, spec.payload()))
-        if cached is None:
-            return False
-        self._outcomes[spec.key] = ServeCaseOutcome.from_value(cached)
-        return True
+        return serve_key(self.gpu, spec.payload())
 
-    def _store_outcome(self, spec: ServeSpec,
-                       outcome: ServeCaseOutcome) -> None:
-        if self.cache is None:
-            return
-        from repro.harness.cache import serve_key
-        self.cache.put_serve(serve_key(self.gpu, spec.payload()),
-                             outcome.to_value())
+    def _cache_get(self, key: str) -> Optional[ServeCaseOutcome]:
+        value = self.cache.get_serve(key)
+        return None if value is None else ServeCaseOutcome.from_value(value)
 
-    @property
-    def cached_cases(self) -> int:
-        return len(self._outcomes)
+    def _cache_put(self, key: str, outcome: ServeCaseOutcome) -> None:
+        self.cache.put_serve(key, outcome.to_value())
+
+    def _grid(self, payloads: List[dict]) -> dict:
+        from repro.harness.cache import serve_grid_payload
+        return serve_grid_payload(self.gpu, payloads)
+
+    def _pool_worker(self) -> "ServeRunner":
+        return ServeRunner(self.gpu, workers=1)

@@ -7,6 +7,9 @@ multi-scheduler paths.
 
 from __future__ import annotations
 
+import concurrent.futures
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.config import FAST_GPU, GPUConfig, MemoryConfig, SMConfig
@@ -93,3 +96,37 @@ def run_isolated(spec: KernelSpec, gpu: GPUConfig, cycles: int = 4000):
 @pytest.fixture
 def parboil_sgemm() -> KernelSpec:
     return get_kernel("sgemm")
+
+
+class _BrokenPool:
+    """A process pool whose every task dies the way a killed worker's does."""
+
+    def submit(self, function, *args, **kwargs):
+        future = concurrent.futures.Future()
+        future.set_exception(BrokenProcessPool("worker killed"))
+        return future
+
+    def map(self, function, *iterables, **kwargs):
+        return (self.submit(function, *args).result()
+                for args in zip(*iterables))
+
+    def shutdown(self, *args, **kwargs):
+        pass
+
+
+@pytest.fixture(params=["refused", "broken"])
+def unusable_pool(request, monkeypatch):
+    """Make every process pool unusable: its construction raises OSError
+    (``refused``, a sandbox without process spawning) or every task fails
+    with BrokenProcessPool (``broken``).  Returns the list of pool
+    construction attempts, so a test can tell a pool was really tried."""
+    attempts = []
+
+    def make_pool(*args, **kwargs):
+        attempts.append(kwargs.get("max_workers"))
+        if request.param == "refused":
+            raise OSError("process spawning refused")
+        return _BrokenPool()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make_pool)
+    return attempts

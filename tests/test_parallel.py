@@ -1,9 +1,12 @@
 """Determinism and equivalence tests for the parallel sweep executor."""
 
+import json
+
 import pytest
 
 from repro.config import FAST_GPU
-from repro.harness.cache import CaseCache
+from repro.harness.cache import CaseCache, record_to_dict
+from repro.harness.expdb import ExperimentDB
 from repro.harness.parallel import ParallelCaseRunner, resolve_workers
 from repro.harness.runner import CaseRunner, CaseSpec
 from repro.kernels import get_kernel
@@ -46,6 +49,11 @@ class TestResolveWorkers:
     def test_floor_of_one(self):
         assert resolve_workers(0) == 1
         assert resolve_workers(-4) == 1
+
+    def test_non_integer_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "four")
+        with pytest.raises(ValueError, match="REPRO_WORKERS.*'four'"):
+            resolve_workers()
 
 
 class TestSweepEquivalence:
@@ -125,3 +133,23 @@ class TestTelemetrySweepEquivalence:
                                   telemetry=True, cache=warm_cache)
         assert warm.sweep(SPECS) == serial_telemetry
         assert warm_cache.hits >= len(SPECS)
+
+
+class TestSerialFallback:
+    """A pool the platform refuses, or one whose workers die mid-sweep,
+    degrades the sweep to the in-process claim loop: same records, and
+    the experiment still completes."""
+
+    @pytest.fixture(scope="class")
+    def serial_records(self):
+        return CaseRunner(FAST_GPU, CYCLES).sweep(SPECS)
+
+    def test_parallel_sweep_finishes_serially(self, tmp_path, unusable_pool,
+                                              serial_records):
+        db = ExperimentDB(tmp_path / "exp.sqlite")
+        runner = ParallelCaseRunner(FAST_GPU, CYCLES, workers=2, expdb=db)
+        records = runner.sweep(SPECS)
+        assert unusable_pool  # a pool was really attempted
+        assert (json.dumps([record_to_dict(r) for r in records])
+                == json.dumps([record_to_dict(r) for r in serial_records]))
+        assert db.experiment(runner.experiment_log[0][0])["status"] == "done"

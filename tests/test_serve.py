@@ -308,12 +308,89 @@ class TestServeRunner:
         assert db.experiment(resumed.experiment_log[0][0])["status"] == "done"
         assert dump(outcomes) == dump(clean_outcomes)
 
+    def test_parallel_sweep_falls_back_to_serial(self, tmp_path,
+                                                 unusable_pool,
+                                                 clean_outcomes):
+        db = ExperimentDB(tmp_path / "exp.sqlite")
+        runner = ServeRunner(GPU, expdb=db, workers=2)
+        outcomes = runner.sweep(SPECS)
+        assert unusable_pool  # a pool was really attempted
+        assert dump(outcomes) == dump(clean_outcomes)
+        assert db.experiment(runner.experiment_log[0][0])["status"] == "done"
+
+    def test_exp_resume_and_show_on_a_serving_grid(self, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   clean_outcomes):
+        from repro.harness.expcli import main
+
+        db_path, cache_dir = tmp_path / "exp.sqlite", tmp_path / "cache"
+        monkeypatch.setenv("REPRO_EXPDB", str(db_path))
+        monkeypatch.setenv("REPRO_CACHE", str(cache_dir))
+        interrupted = ServeRunner(GPU, cache=CaseCache(cache_dir),
+                                  expdb=ExperimentDB(db_path), workers=1)
+        interrupted.fault_after = 1
+        with pytest.raises(SweepInterrupted):
+            interrupted.sweep(SPECS)
+        experiment_id = interrupted.experiment_log[0][0]
+        assert main(["resume", experiment_id]) == 0
+        db = ExperimentDB(db_path)
+        assert db.experiment(experiment_id)["status"] == "done"
+        assert main(["show", experiment_id]) == 0
+        out = capsys.readouterr().out
+        assert f"horizon:    {HORIZON} cycles, {len(SPECS)} serving" in out
+        assert "done      3" in out
+
+        # The resume cached every outcome: a rerun serves nothing anew.
+        class _Bomb:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a resumed serving case re-simulated")
+
+        monkeypatch.setattr("repro.serve.runner.Dispatcher", _Bomb)
+        rerun = ServeRunner(GPU, cache=CaseCache(cache_dir), expdb=db,
+                            workers=1)
+        assert dump(rerun.sweep(SPECS)) == dump(clean_outcomes)
+
     def test_unknown_process_and_admission_rejected(self):
         with pytest.raises(ValueError, match="unknown arrival process"):
             ServeSpec(process="lognormal", params=(), classes=CLASSES,
                       seed=0, horizon_cycles=HORIZON)
         with pytest.raises(ValueError, match="unknown admission"):
             serve_spec(1000, admission="sometimes").build_admission()
+
+
+class TestServePolicies:
+    """Only policies that tolerate kernels launched mid-run may serve; the
+    rest are refused before anything is simulated or cached."""
+
+    def test_other_policies_refused_before_simulating(self, tmp_path,
+                                                      monkeypatch):
+        from repro.harness.runner import POLICY_NAMES
+
+        class _Bomb:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a refused policy started serving")
+
+        monkeypatch.setattr("repro.serve.runner.Dispatcher", _Bomb)
+        cache = CaseCache(tmp_path)
+        runner = ServeRunner(GPU, cache=cache, workers=1)
+        refused = [policy for policy in POLICY_NAMES if policy != "smk"]
+        assert len(refused) == len(POLICY_NAMES) - 1
+        for policy in refused:
+            with pytest.raises(ValueError, match=f"'{policy}'"):
+                runner.run_spec(serve_spec(2500, policy=policy))
+        assert len(cache) == 0
+
+    def test_smk_serves(self):
+        outcome = ServeRunner(GPU, workers=1).run_spec(serve_spec(2500))
+        assert outcome.completed > 0
+
+    def test_cli_offers_only_serving_policies(self):
+        from repro.serve.cli import build_serve_parser
+
+        parser = build_serve_parser()
+        assert parser.parse_args(["--policy", "smk"]).policy == "smk"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--policy", "rollover"])
 
 
 # ----------------------------------------------------------- salt regression
