@@ -3,17 +3,17 @@
 Measures, on the current machine:
 
 1. Engine hot-path speed: simulated cycles/second for the canonical
-   workload shapes, run under all three simulation cores — the reference
-   per-cycle-scan core (``engine_core="scan"``), the event-driven core
-   (``"event"``, the default) and the windowed struct-of-arrays batch
-   core (``"batch"``) — with per-shape speedup ratios.  The *membound
-   stream* shape is the event core's sleep-skipping showcase: a
-   bandwidth-bound kernel on many single-scheduler SMs under deep DRAM
-   latency, so most SMs spend most cycles stalled and the event core
-   skips them with one comparison each.  The *compute alu-dense* shape is
-   the batch core's showcase: a memory-free high-ILP kernel whose only
-   window edges are the idle-warp sample grid, so the batch core advances
-   whole SMs hundreds of cycles at a time.
+   workload shapes, run under every core in ``repro.config.ENGINE_CORES``
+   — the event core (``engine_core="event"``, the default) and the
+   windowed struct-of-arrays batch core (``"batch"``) — with the per-shape
+   batch-over-event speedup.  The *membound stream* shape is the
+   sleep-skipping showcase: a bandwidth-bound kernel on many
+   single-scheduler SMs under deep DRAM latency, so most SMs spend most
+   cycles stalled and the run loop skips them with one comparison each.
+   The *compute alu-dense* shape is the batch core's showcase: a
+   memory-free high-ILP kernel whose only window edges are the idle-warp
+   sample grid, so the batch core advances whole SMs hundreds of cycles
+   at a time.
 2. A per-function cProfile hotspot table for the event core on the
    showcase shape, so regressions in the hot path are visible as moved
    rows rather than just a slower total.
@@ -139,7 +139,7 @@ def _time_run(gpu, launches, policy_name, cycles, repeats=2,
 
 
 def engine_throughput(cycles: int, repeats: int = 3) -> list:
-    """Per-shape timings for all three cores, plus speedup ratios.
+    """Per-shape timings for every engine core, plus the speedup ratio.
 
     Returns one dict per shape — the same structure the JSON report
     serialises — with ``seconds`` and ``cycles_per_second`` keyed by core
@@ -159,8 +159,6 @@ def engine_throughput(cycles: int, repeats: int = 3) -> list:
             "cycles_per_second": {core: cycles / elapsed
                                   for core, elapsed in seconds.items()},
             "speedup": {
-                "event_vs_scan": seconds["scan"] / seconds["event"],
-                "batch_vs_scan": seconds["scan"] / seconds["batch"],
                 "batch_vs_event": seconds["event"] / seconds["batch"],
             },
         })
@@ -263,17 +261,15 @@ def format_report(engine_rows, hotspot_rows, telemetry_rows, sweep_rows,
                  f"cores {os.cpu_count()}  workers {workers}  "
                  f"code salt {code_salt()}")
     lines.append("")
-    lines.append(f"engine hot path ({cycles} cycles; scan = reference, "
-                 "event = PR 2, batch = struct-of-arrays windows)")
-    lines.append(f"{'workload':<28}{'cyc/s scan':>12}{'cyc/s event':>13}"
-                 f"{'cyc/s batch':>13}{'ev/scan':>9}{'ba/scan':>9}")
+    lines.append(f"engine hot path ({cycles} cycles; event = cycle "
+                 "stepping, batch = struct-of-arrays windows)")
+    lines.append(f"{'workload':<28}{'cyc/s event':>13}{'cyc/s batch':>13}"
+                 f"{'ba/ev':>9}")
     for row in engine_rows:
         rate = row["cycles_per_second"]
-        speedup = row["speedup"]
-        lines.append(f"{row['label']:<28}{rate['scan']:>12,.0f}"
-                     f"{rate['event']:>13,.0f}{rate['batch']:>13,.0f}"
-                     f"{speedup['event_vs_scan']:>8.2f}x"
-                     f"{speedup['batch_vs_scan']:>8.2f}x")
+        lines.append(f"{row['label']:<28}{rate['event']:>13,.0f}"
+                     f"{rate['batch']:>13,.0f}"
+                     f"{row['speedup']['batch_vs_event']:>8.2f}x")
     lines.append("")
     lines.append("event-core hotspots (membound stream, by internal time)")
     lines.append(f"{'function':<44}{'calls':>9}{'tottime':>9}{'cumtime':>9}")

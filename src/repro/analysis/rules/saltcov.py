@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.core import ERROR, WARNING, Project, Rule, register
+from repro.analysis.core import ERROR, WARNING, Finding, Project, Rule, register
 
 #: Module owning the ``_SALTED`` tuple.
 CACHE_MODULE = "repro.harness.cache"

@@ -180,13 +180,11 @@ class ControllerConfig:
 
 #: The one registry of simulation-core variants, shared by
 #: :class:`GPUConfig` validation and the CLI ``--engine-core`` choices.
-#: ``"event"``: event-driven core (per-SM sleep skipping, two-tier warp wake
-#: queues).  ``"scan"``: reference per-cycle-scan core kept for differential
-#: testing.  ``"batch"``: windowed struct-of-arrays core
-#: (:mod:`repro.sim.batch`) that advances whole SMs in bulk between
-#: control-flow edges.  All three produce record-for-record identical
-#: results.
-ENGINE_CORES = ("event", "scan", "batch")
+#: Both run ``GPUSimulator.run``'s one loop with per-SM sleep skipping.
+#: ``"event"`` steps SMs cycle by cycle; ``"batch"`` also advances whole
+#: SMs in bulk through edge-free windows (:mod:`repro.sim.batch`).  Both
+#: produce record-for-record identical results.
+ENGINE_CORES = ("event", "batch")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ three-layer execution contract co-run cases get:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig
 from repro.harness.runner import SweepRunner, make_policy, resolve_workers

@@ -20,9 +20,7 @@ typed :class:`~repro.sim.telemetry.EpochRecord`.
 from repro.sim.cache import Cache
 from repro.sim.memory import MemorySubsystem
 from repro.sim.warp import Warp, WarpState
-from repro.sim.scheduler import (GTOScheduler, LRRScheduler,
-                                 ScanGTOScheduler, ScanLRRScheduler,
-                                 make_scheduler)
+from repro.sim.scheduler import GTOScheduler, LRRScheduler, make_scheduler
 from repro.sim.tb import SMResources, ThreadBlock
 from repro.sim.stats import KernelStats, SimulationResult
 from repro.sim.policy import EpochView, PolicyContext, SharingPolicy
@@ -37,8 +35,6 @@ __all__ = [
     "WarpState",
     "GTOScheduler",
     "LRRScheduler",
-    "ScanGTOScheduler",
-    "ScanLRRScheduler",
     "make_scheduler",
     "SMResources",
     "ThreadBlock",

@@ -1,10 +1,10 @@
 """Batch engine core: windowed struct-of-arrays SM advancement.
 
-The third ``GPUConfig.engine_core`` variant (``"batch"``).  The event core
-(PR 2) makes *idle* cycles cheap; busy SMs still pay Python method dispatch
-per warp per cycle.  The batch core makes *busy* cycles cheap too, by
-advancing whole SMs through **edge-free windows** with table lookups and
-bulk arithmetic instead of per-cycle object stepping:
+The ``GPUConfig.engine_core="batch"`` variant.  The run loop's per-SM
+sleep skipping makes *idle* cycles cheap; busy SMs still pay Python method
+dispatch per warp per cycle.  The batch core makes *busy* cycles cheap
+too, by advancing whole SMs through **edge-free windows** with table
+lookups and bulk arithmetic instead of per-cycle object stepping:
 
 1. **Probe** (:meth:`BatchState.probe`): hot warp state — ``ready_at``
    cycles, instruction cursors, lifecycle states, kernel indices — is
@@ -35,22 +35,23 @@ bulk arithmetic instead of per-cycle object stepping:
 
 3. **Sync-out**: mutated cursors and readiness are written back to the
    :class:`~repro.sim.warp.Warp` objects and each issuing scheduler's
-   event-core wake queues are rebuilt
-   (:meth:`~repro.sim.scheduler.GTOScheduler.rebuild_ready_state`), so the
-   engine can drop to the unmodified scalar event path at every edge —
+   ``sleep_until`` is cleared (its next ``select`` rescans its warps), so
+   the engine can drop to the unmodified scalar path at every edge —
    barriers, TB moves, preemption, epoch boundaries and sample cycles run
    exactly the code the event core runs.
 
 When probes fail (memory-bound phases: some warp is always about to touch
 the memory system), an exponential backoff spaces re-probes out so the
 core degrades to event-core speed instead of paying O(warps) probe cost
-per cycle.  Record-for-record identity with the event and scan cores is
-enforced by the three-way differential in ``tests/test_event_core.py``
-and the golden-record replay in ``tests/test_controllers.py``.
+per cycle.  Record-for-record identity with the event core is enforced
+by the differentials in ``tests/test_event_core.py`` (both cores against
+a test oracle that steps every SM every cycle) and the golden-record
+replay in ``tests/test_controllers.py``.
 
 Telemetry stays byte-identical as well: issue cycles are marked in boolean
 masks over the window so the busy-trajectory counters behind the sleep-skip
-telemetry fields count exactly the (SM, cycle) pairs the scan core counts.
+telemetry fields count exactly the (SM, cycle) pairs the scalar path
+counts.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ class BatchState:
             horizon = next_done
         # A pending mid-run launch (repro.serve arrivals) is a control edge:
         # the window must close there so activation runs on the scalar path
-        # at the same loop-top point as the scan and event cores.
+        # at the same loop-top point as the event core.
         if sim._next_launch_at < horizon:
             horizon = sim._next_launch_at
         if end_cycle < horizon:
@@ -303,8 +304,8 @@ class BatchState:
                 retired_local[kernel_idx] += lanes
                 if quota_enabled:
                     counters[kernel_idx] -= lanes  # no crossing: probe-capped
-            # Queue rebuilds cleared sleep state; re-derive the cached
-            # wake-hint minimums lazily.
+            # Sync-out cleared sleep state; re-derive the cached wake-hint
+            # minimums lazily.
             sm._sleep_changed()
             if tel_on:
                 busy_sm_cycles += int(sm_busy.sum())
@@ -316,7 +317,8 @@ class BatchState:
     # ------------------------------------------------- per-scheduler replay
 
     def _eligible(self, scheduler, sm):
-        """Warps selection can see this window, in scheduler age order."""
+        """Warps selection can see this window, oldest first (warp-list
+        order)."""
         if sm.quota_enabled:
             quota_ok = sm.quota_ok
             return [w for w in scheduler.warps
@@ -403,7 +405,7 @@ class BatchState:
                 warp.pc = cursors[q]
                 warp.ready_at = ready_at[q]
             scheduler.last = eligible[last_idx]
-            scheduler.rebuild_ready_state()
+            scheduler.sleep_until = 0
         return issued
 
     def _advance_lrr(self, scheduler, sm, cycle, horizon,
@@ -489,5 +491,5 @@ class BatchState:
                 warp.ready_at = ready_at[q]
             scheduler.last = eligible[pick]
             scheduler._next_index = start
-            scheduler.rebuild_ready_state()
+            scheduler.sleep_until = 0
         return issued

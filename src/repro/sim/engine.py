@@ -108,8 +108,8 @@ class GPUSimulator:
         self._next_tb_id = [0] * self.num_kernels
         # Online-serving state (repro.serve): kernels may join mid-run via
         # launch_at and leave again when a finite grid drains.  A FIFO of
-        # not-yet-activated launches plus a cheap sentinel the run loops,
-        # _skip_idle and the batch probe all check, so every core processes
+        # not-yet-activated launches plus a cheap sentinel the run loop,
+        # _skip_idle and the batch probe all check, so both cores process
         # a launch at exactly the same loop-top point.
         self._pending_launches: List[Tuple[int, LaunchedKernel]] = []
         self._next_launch_at = _FOREVER
@@ -177,9 +177,9 @@ class GPUSimulator:
         time order, so this costs nothing and keeps activation order — and
         therefore kernel indices — identical across engine cores).  The
         kernel activates at the top of the first simulated cycle ``>=
-        cycle``: the event core's idle skip, the batch core's probe horizon
-        and the scan core all stop there, so all three cores see the same
-        machine state at activation.
+        cycle``: the run loop's idle skip and the batch core's probe horizon
+        both stop there, so both cores see the same machine state at
+        activation.
         """
         if cycle < self.cycle:
             raise ValueError(
@@ -232,7 +232,7 @@ class GPUSimulator:
         # does at setup; the default hook greedily fills every SM.  Target
         # setting dispatches eagerly (``_configured`` is True), and
         # ``dispatch_tb -> add_warp`` runs the scheduler wake chain, so
-        # sleeping SMs on the event core wake for the launch automatically.
+        # sleeping SMs wake for the launch automatically.
         self.policy.on_kernel_launched(self.ctx, idx, cycle)
 
     def _retire_kernel(self, kernel_idx: int, cycle: int) -> None:
@@ -260,22 +260,29 @@ class GPUSimulator:
     def run(self, num_cycles: int) -> None:
         """Advance the machine by ``num_cycles`` cycles.
 
-        The event-driven core (``config.engine_core == "event"``) steps only
-        SMs whose wake hint has come due: a sleeping SM costs one comparison
-        per cycle instead of a full ``step()`` over its schedulers.  On
-        sample cycles sleep-skipped SMs still run idle-warp sampling so the
-        epoch-anchored grid observes every SM at every point.  The reference
-        core (``"scan"``) steps every SM every cycle; both produce
+        Each cycle steps only the SMs whose wake hint has come due: a
+        sleeping SM costs one comparison per cycle instead of a full
+        ``step()`` over its schedulers.  On sample cycles sleep-skipped SMs
+        still run idle-warp sampling so the epoch-anchored grid observes
+        every SM at every point, and a cycle in which nothing issues jumps
+        straight to the next wake-up.  With ``config.engine_core ==
+        "batch"`` the loop also *probes*, on non-sample cycles, for an
+        edge-free window (:meth:`repro.sim.batch.BatchState.probe`) and,
+        when one opens, advances every SM to its end in bulk; every cycle
+        outside a window runs the scalar path, so both cores produce
         record-for-record identical results.
         """
         self.setup()
         end_cycle = self.cycle + num_cycles
-        if self.config.engine_core == "scan":
-            self._run_scan(end_cycle)
-            return
+        state = None
         if self.config.engine_core == "batch":
-            self._run_batch(end_cycle)
-            return
+            state = self._batch_state
+            if state is None:
+                # Imported here so the event core never pays for (or
+                # requires) numpy; the batch module is still part of the
+                # code salt via the engine's transitive import closure.
+                from repro.sim.batch import BatchState
+                state = self._batch_state = BatchState(self)
         sms = self.sms
         preemption = self.preemption
         sample_interval = self.sample_interval
@@ -298,77 +305,7 @@ class GPUSimulator:
                 # epochs stop seeing `idle_warp_samples` samples each.
                 missed = (cycle - self.next_sample_at) // sample_interval
                 self.next_sample_at += (missed + 1) * sample_interval
-            issued = 0
-            # The wake hint is re-read at each SM's turn: an event earlier
-            # in this same cycle (quota refill, TB dispatch) may have woken
-            # an SM later in the list, exactly as the scan core would see.
-            # (Inlined wake_hint fast path: this comparison runs per SM per
-            # cycle, so the clean-cache case avoids a method call.)
-            if tel_on:
-                busy = 0
-                for sm in sms:
-                    hint = (sm._wake_min if not sm._wake_dirty
-                            else sm.wake_hint())
-                    if hint <= cycle:
-                        n = sm.step(cycle, sample)
-                        if n:
-                            issued += n
-                            busy += 1
-                    elif sample:
-                        sm.sample_idle(cycle)
-                if busy:
-                    self._tel_busy_sm_cycles += busy
-                    self._tel_busy_gpu_cycles += 1
-            else:
-                for sm in sms:
-                    hint = (sm._wake_min if not sm._wake_dirty
-                            else sm.wake_hint())
-                    if hint <= cycle:
-                        issued += sm.step(cycle, sample)
-                    elif sample:
-                        sm.sample_idle(cycle)
-            self.cycle = cycle + 1
-            if issued == 0:
-                self._skip_idle(end_cycle)
-
-    def _run_batch(self, end_cycle: int) -> None:
-        """Windowed loop: vectorised SM advancement between control edges.
-
-        Identical to the event loop except that on cycles where nothing
-        engine-level is scheduled the core *probes* for an edge-free window
-        (:meth:`repro.sim.batch.BatchState.probe`) and, when one opens,
-        advances every SM to its end in bulk instead of cycle-stepping.
-        Sample cycles, epoch boundaries, preemption completions and every
-        cycle in which a memory access, barrier, retirement or quota
-        crossing can occur run on the unmodified event path below, so all
-        order-dependent machinery executes exactly the scalar code.
-        """
-        # Imported here so the scan/event cores never pay for (or require)
-        # numpy; the batch module is still part of the code salt via the
-        # engine's transitive import closure.
-        from repro.sim.batch import BatchState
-        state = self._batch_state
-        if state is None:
-            state = self._batch_state = BatchState(self)
-        sms = self.sms
-        preemption = self.preemption
-        sample_interval = self.sample_interval
-        tel_on = self.telemetry is not None
-        while self.cycle < end_cycle:
-            cycle = self.cycle
-            next_done = preemption.next_completion
-            if next_done is not None and next_done <= cycle:
-                for sm, tb in preemption.pop_completed(cycle):
-                    self._finish_eviction(sm, tb, cycle)
-            if cycle >= self.next_epoch_at:
-                self._begin_epoch(cycle)
-            if cycle >= self._next_launch_at:
-                self._process_launches(cycle)
-            sample = cycle >= self.next_sample_at
-            if sample:
-                missed = (cycle - self.next_sample_at) // sample_interval
-                self.next_sample_at += (missed + 1) * sample_interval
-            elif cycle >= state.next_probe_at:
+            elif state is not None and cycle >= state.next_probe_at:
                 # Probes never run on sample cycles, and the horizon is
                 # capped at the next grid point, so windows cannot swallow
                 # idle-warp samples.
@@ -380,6 +317,11 @@ class GPUSimulator:
                     continue
                 state.probe_failed(cycle)
             issued = 0
+            # The wake hint is re-read at each SM's turn: an event earlier
+            # in this same cycle (quota refill, TB dispatch) may have woken
+            # an SM later in the list.  (Inlined wake_hint fast path: this
+            # comparison runs per SM per cycle, so the clean-cache case
+            # avoids a method call.)
             if tel_on:
                 busy = 0
                 for sm in sms:
@@ -403,44 +345,6 @@ class GPUSimulator:
                         issued += sm.step(cycle, sample)
                     elif sample:
                         sm.sample_idle(cycle)
-            self.cycle = cycle + 1
-            if issued == 0:
-                self._skip_idle(end_cycle)
-
-    def _run_scan(self, end_cycle: int) -> None:
-        """Reference per-cycle loop: step every SM every cycle."""
-        sms = self.sms
-        preemption = self.preemption
-        sample_interval = self.sample_interval
-        tel_on = self.telemetry is not None
-        while self.cycle < end_cycle:
-            cycle = self.cycle
-            next_done = preemption.next_completion
-            if next_done is not None and next_done <= cycle:
-                for sm, tb in preemption.pop_completed(cycle):
-                    self._finish_eviction(sm, tb, cycle)
-            if cycle >= self.next_epoch_at:
-                self._begin_epoch(cycle)
-            if cycle >= self._next_launch_at:
-                self._process_launches(cycle)
-            sample = cycle >= self.next_sample_at
-            if sample:
-                missed = (cycle - self.next_sample_at) // sample_interval
-                self.next_sample_at += (missed + 1) * sample_interval
-            issued = 0
-            if tel_on:
-                busy = 0
-                for sm in sms:
-                    n = sm.step(cycle, sample)
-                    if n:
-                        issued += n
-                        busy += 1
-                if busy:
-                    self._tel_busy_sm_cycles += busy
-                    self._tel_busy_gpu_cycles += 1
-            else:
-                for sm in sms:
-                    issued += sm.step(cycle, sample)
             self.cycle = cycle + 1
             if issued == 0:
                 self._skip_idle(end_cycle)

@@ -13,40 +13,18 @@ untouched — "the original warp scheduling algorithm is used throughout the
 lifetime of kernels, except that kernels are throttled once their quotas are
 exhausted."
 
-Two interchangeable implementations exist, selected by
-``make_scheduler(..., core=...)`` (normally wired from
-``GPUConfig.engine_core``); both produce identical selection sequences:
-
-``core="event"`` (default)
-    The event-driven two-tier structure.  Each scheduler keeps a **ready
-    list** — warps currently able to issue, ordered oldest-first by a
-    monotonically assigned insertion ``age`` (which is exactly GTO's
-    "oldest" order and, because the warp list only appends and removes,
-    also the relative LRR rotation order) — and per-kernel **pending
-    min-heaps** keyed by ``ready_at``.  A warp that issues a long-latency
-    instruction migrates from the ready list to its kernel's pending heap
-    and is drained back lazily at select time once due, so a stalled
-    scheduler costs O(1) per select and an issuing scheduler amortized
-    O(log warps).  Pending heaps are per kernel so the sleep computation
-    can exclude quota-throttled kernels exactly as the scan does.
-
-``core="scan"``
-    The reference implementation: an O(warps) scan per select.  Kept
-    verbatim for differential tests and as executable documentation.
-
-``core="batch"``
-    Reuses the event-core classes: the batch engine core
-    (:mod:`repro.sim.batch`) only steps schedulers on its scalar-fallback
-    path, and rebuilds their queues via ``rebuild_ready_state`` after each
-    vectorised window.
+Selection is one O(warps) scan of the scheduler's warp list.  The list only
+appends (TB dispatch) and removes (TB completion or eviction), so its order
+is insertion order: GTO's "oldest" order and LRR's rotation order.
+``Warp.pos`` mirrors each warp's index for O(1) removal and for the batch
+core's LRR replay (:mod:`repro.sim.batch`).  Both engine cores step these
+same classes.
 
 Schedulers keep a ``sleep_until`` cycle: when selection finds nothing ready
 the earliest wake-up among eligible warps is cached so stalled schedulers
 cost one comparison per cycle.  Any event that can create readiness out of
 band — TB dispatch, barrier release, quota refresh, unfreeze — must call
-``wake()``; an event that changes a parked warp's ``ready_at`` outside the
-issue path (barrier release) must additionally call ``requeue(warp)`` so the
-event-driven queues re-track the warp (a no-op on the scan core).
+``wake()``.
 
 Every write to ``sleep_until`` invokes the optional ``notify`` callback so
 the owning SM can maintain a cached minimum over its schedulers (the
@@ -56,32 +34,15 @@ rescanning every scheduler of every SM each cycle).
 
 from __future__ import annotations
 
-import operator
-from heapq import heappop, heappush
 from typing import List, Optional
 
 from repro.sim.warp import Warp
 
 _NEVER = 1 << 62
 
-_BY_AGE = operator.attrgetter("age")
 
-#: Stalls shorter than this stay in the ready list (the selection scan just
-#: skips them, as the reference core does) instead of migrating to a pending
-#: heap.  Pipeline latencies (ALU/SFU/shared/L1) sit below this, memory
-#: latencies (L2/DRAM) far above, so only long-latency warps pay heap churn.
-_SHORT_STALL = 32
-
-#: Banking long stalls into the pending heaps only pays off once the warp
-#: pool is large enough that scanning past stalled warps costs more than
-#: heap maintenance; below this size every stall stays in the ready list
-#: and selection degenerates to the reference core's cheap scan (per-SM
-#: sleep skipping at the engine still applies either way).
-_BANK_MIN_WARPS = 16
-
-
-class _SchedulerBase:
-    """Shared warp hosting, back-references, and sleep bookkeeping."""
+class GTOScheduler:
+    """Greedy-then-oldest warp scheduler."""
 
     __slots__ = ("warps", "last", "sleep_until", "notify")
 
@@ -90,6 +51,8 @@ class _SchedulerBase:
         self.last: Optional[Warp] = None
         self.sleep_until = 0
         self.notify = notify
+
+    # --------------------------------------------------------------- hosting
 
     def add_warp(self, warp: Warp) -> None:
         warp.sched = self
@@ -111,9 +74,6 @@ class _SchedulerBase:
             self.last = None
         self.wake()
 
-    def requeue(self, warp: Warp) -> None:
-        """Re-track a warp whose ``ready_at`` changed out of band."""
-
     def wake(self) -> None:
         if self.sleep_until:
             self.sleep_until = 0
@@ -125,320 +85,7 @@ class _SchedulerBase:
         if self.notify is not None:
             self.notify()
 
-
-class GTOScheduler(_SchedulerBase):
-    """Greedy-then-oldest warp scheduler (event-driven two-tier core)."""
-
-    __slots__ = ("ready", "_pending", "_age", "_next_due")
-
-    def __init__(self, notify=None) -> None:
-        super().__init__(notify)
-        #: Warps believed ready, oldest (lowest insertion age) first.
-        self.ready: List[Warp] = []
-        #: kernel_idx -> min-heap of (ready_at, age, warp) wake entries.
-        self._pending = {}
-        self._age = 0
-        #: Lower bound on the earliest pending entry across all kernels;
-        #: lets select() gate the drain on one integer comparison.
-        self._next_due = _NEVER
-
-    # --------------------------------------------------------------- hosting
-
-    def add_warp(self, warp: Warp) -> None:
-        warp.age = self._age
-        self._age += 1
-        warp.in_ready = False
-        warp.pending_key = None
-        super().add_warp(warp)
-        self._push(warp)
-
-    def remove_warp(self, warp: Warp) -> None:
-        if warp.in_ready:
-            self.ready.remove(warp)
-            warp.in_ready = False
-        warp.pending_key = None  # any heap entry left behind is now stale
-        super().remove_warp(warp)
-
-    def requeue(self, warp: Warp) -> None:
-        if warp.state != 0 or warp.in_ready:
-            return  # not schedulable, or the ready list already tracks it
-        if warp.pending_key == warp.ready_at:
-            return  # the live pending entry is already correct
-        self._push(warp)
-
-    def _push(self, warp: Warp) -> None:
-        heap = self._pending.get(warp.kernel_idx)
-        if heap is None:
-            heap = self._pending[warp.kernel_idx] = []
-        key = warp.ready_at
-        heappush(heap, (key, warp.age, warp))
-        warp.pending_key = key
-        if key < self._next_due:
-            self._next_due = key
-
-    # ---------------------------------------------------------------- queues
-
-    def _drain(self, cycle: int) -> None:
-        """Move pending warps that have come due into the ready list."""
-        drained = None
-        next_due = _NEVER
-        for heap in self._pending.values():
-            while heap and heap[0][0] <= cycle:
-                ready_at, _age, warp = heappop(heap)
-                if (warp.pending_key != ready_at or warp.sched is not self
-                        or warp.in_ready):
-                    continue  # stale entry superseded by a later push
-                warp.pending_key = None
-                if warp.state != 0:
-                    continue  # froze or retired while parked
-                if warp.ready_at > cycle:
-                    self._push(warp)  # readiness moved; track the new time
-                    continue
-                warp.in_ready = True
-                if drained is None:
-                    drained = [warp]
-                else:
-                    drained.append(warp)
-            if heap and heap[0][0] < next_due:
-                next_due = heap[0][0]
-        # Re-pushes above land in the same per-kernel heap the entry came
-        # from, so the tops seen here already reflect them.
-        self._next_due = next_due
-        if drained:
-            # Timsort merges the sorted ready list and the drained run in
-            # near-linear time, restoring oldest-first order.
-            self.ready.extend(drained)
-            self.ready.sort(key=_BY_AGE)
-
-    def _sleep_on_pending(self, quota_ok, earliest: int = _NEVER) -> None:
-        """Sleep until the earliest pending warp of a quota-eligible kernel
-        (exactly the scan core's "earliest eligible ready_at").
-
-        ``earliest`` seeds the minimum with the wake-up of any short-stalled
-        quota-eligible warps the caller saw while scanning the ready list.
-        """
-        next_due = _NEVER
-        for kernel_idx, heap in self._pending.items():
-            while heap:  # prune stale / unschedulable tops lazily
-                ready_at, _age, warp = heap[0]
-                if (warp.pending_key == ready_at and warp.sched is self
-                        and not warp.in_ready and warp.state == 0):
-                    break
-                heappop(heap)
-                if warp.pending_key == ready_at and warp.sched is self:
-                    warp.pending_key = None
-            if heap:
-                top = heap[0][0]
-                if top < next_due:
-                    next_due = top
-                if quota_ok[kernel_idx] and top < earliest:
-                    earliest = top
-        self._next_due = next_due  # pruning made the bound exact again
-        self._sleep(earliest)
-
     # ------------------------------------------------------------- selection
-
-    def select(self, cycle: int, quota_ok) -> Optional[Warp]:
-        """Pick the warp to issue this cycle, or None."""
-        if cycle < self.sleep_until:
-            return None
-        if self._next_due <= cycle:
-            self._drain(cycle)
-        last = self.last
-        if (last is not None and last.state == 0 and last.ready_at <= cycle
-                and quota_ok[last.kernel_idx]):
-            return last
-        ready = self.ready
-        n = len(ready)
-        if n:
-            # Fast path: the oldest tracked warp is usually the pick.
-            warp = ready[0]
-            if (warp.ready_at <= cycle and warp.state == 0
-                    and warp.sched is self and quota_ok[warp.kernel_idx]):
-                self.last = warp
-                return warp
-        pick = None
-        stalled_min = _NEVER
-        write = 0
-        read = 0
-        while read < n:
-            warp = ready[read]
-            read += 1
-            if warp.state != 0 or warp.sched is not self:
-                warp.in_ready = False  # prune retired / frozen / removed
-                continue
-            ready_at = warp.ready_at
-            if ready_at > cycle:
-                if (ready_at - cycle > _SHORT_STALL
-                        and len(self.warps) >= _BANK_MIN_WARPS):
-                    warp.in_ready = False  # long stall: bank in pending
-                    self._push(warp)
-                    continue
-                ready[write] = warp  # short stall: cheaper to keep scanning
-                write += 1
-                if quota_ok[warp.kernel_idx] and ready_at < stalled_min:
-                    stalled_min = ready_at
-                continue
-            ready[write] = warp
-            write += 1
-            if quota_ok[warp.kernel_idx]:
-                pick = warp  # oldest eligible ready warp
-                break
-        if write != read:
-            ready[write:read] = []
-        if pick is not None:
-            self.last = pick
-            return pick
-        if self._next_due == _NEVER:
-            # No live pending entries (the bound is exact at _NEVER): the
-            # short-stalled ready warps alone decide the wake-up.
-            self._sleep(stalled_min)
-        else:
-            self._sleep_on_pending(quota_ok, stalled_min)
-        return None
-
-    # ------------------------------------------------------- batch sync-out
-
-    def rebuild_ready_state(self) -> None:
-        """Reset the two-tier queues to the canonical post-window state.
-
-        The batch core mutates ``pc``/``ready_at`` on this scheduler's warps
-        behind the queues' back; afterwards every cached wake entry is
-        potentially stale.  Rebuild from scratch: all schedulable warps go
-        to the ready list in age order (``warps`` order), the pending heaps
-        empty, and the sleep state clears.  ``pending_key`` is nulled on
-        **every** hosted warp — including parked AT_BARRIER/FROZEN ones —
-        because ``requeue`` skips re-pushing a warp whose live pending entry
-        looks current, and after this wipe no entry is live.
-        """
-        ready = []
-        for warp in self.warps:
-            warp.pending_key = None
-            if warp.state == 0:
-                warp.in_ready = True
-                ready.append(warp)
-            else:
-                warp.in_ready = False
-        self.ready = ready
-        self._pending.clear()
-        self._next_due = _NEVER
-        # The caller notifies the SM once per window (sm._sleep_changed());
-        # writing through _sleep here would fire the callback per scheduler.
-        self.sleep_until = 0
-
-    # ------------------------------------------------------------ inspection
-
-    def _ready_now(self, cycle: int) -> List[Warp]:
-        """Validated ready warps this cycle (compacts the ready list)."""
-        if self._next_due <= cycle:
-            self._drain(cycle)
-        ready = self.ready
-        out = []
-        write = 0
-        for warp in ready:
-            if warp.state != 0 or warp.sched is not self:
-                warp.in_ready = False
-                continue
-            ready_at = warp.ready_at
-            if ready_at > cycle:
-                if (ready_at - cycle > _SHORT_STALL
-                        and len(self.warps) >= _BANK_MIN_WARPS):
-                    warp.in_ready = False
-                    self._push(warp)
-                else:
-                    ready[write] = warp
-                    write += 1
-                continue
-            ready[write] = warp
-            write += 1
-            out.append(warp)
-        del ready[write:]
-        return out
-
-    def ready_count(self, cycle: int, quota_ok) -> int:
-        """Warps that could issue this cycle (for idle-warp sampling)."""
-        count = 0
-        for warp in self._ready_now(cycle):
-            if quota_ok[warp.kernel_idx]:
-                count += 1
-        return count
-
-    def sample_ready(self, cycle: int, idle_sum: List[int]) -> None:
-        """Accumulate per-kernel ready-warp counts, quota-blind (Sec 3.6)."""
-        for warp in self._ready_now(cycle):
-            idle_sum[warp.kernel_idx] += 1
-
-
-class LRRScheduler(GTOScheduler):
-    """Loose round robin: rotate priority among ready warps.
-
-    Shares the GTO two-tier queues; selection picks the ready warp with the
-    smallest circular distance from the rotation index in warp-list order
-    (``Warp.pos``), which is exactly what the reference scan's first hit is.
-    """
-
-    __slots__ = ("_next_index",)
-
-    def __init__(self, notify=None) -> None:
-        super().__init__(notify)
-        self._next_index = 0
-
-    def select(self, cycle: int, quota_ok) -> Optional[Warp]:
-        if cycle < self.sleep_until:
-            return None
-        count = len(self.warps)
-        if count == 0:
-            self._sleep(_NEVER)
-            return None
-        if self._next_due <= cycle:
-            self._drain(cycle)
-        ready = self.ready
-        start = self._next_index % count
-        pick = None
-        best_offset = count
-        stalled_min = _NEVER
-        write = 0
-        for warp in ready:
-            if warp.state != 0 or warp.sched is not self:
-                warp.in_ready = False
-                continue
-            ready_at = warp.ready_at
-            if ready_at > cycle:
-                if (ready_at - cycle > _SHORT_STALL
-                        and count >= _BANK_MIN_WARPS):
-                    warp.in_ready = False
-                    self._push(warp)
-                    continue
-                ready[write] = warp
-                write += 1
-                if quota_ok[warp.kernel_idx] and ready_at < stalled_min:
-                    stalled_min = ready_at
-                continue
-            ready[write] = warp
-            write += 1
-            if quota_ok[warp.kernel_idx]:
-                offset = warp.pos - start
-                if offset < 0:
-                    offset += count
-                if offset < best_offset:
-                    best_offset = offset
-                    pick = warp
-        del ready[write:]
-        if pick is not None:
-            self._next_index = (pick.pos + 1) % count
-            self.last = pick
-            return pick
-        if self._next_due == _NEVER:
-            self._sleep(stalled_min)
-        else:
-            self._sleep_on_pending(quota_ok, stalled_min)
-        return None
-
-
-class ScanGTOScheduler(_SchedulerBase):
-    """Reference GTO: O(warps) scan per select (the pre-event-core code)."""
-
-    __slots__ = ()
 
     def select(self, cycle: int, quota_ok) -> Optional[Warp]:
         """Pick the warp to issue this cycle, or None."""
@@ -460,6 +107,8 @@ class ScanGTOScheduler(_SchedulerBase):
         self._sleep(earliest)
         return None
 
+    # ------------------------------------------------------------ inspection
+
     def ready_count(self, cycle: int, quota_ok) -> int:
         """Warps that could issue this cycle (for idle-warp sampling)."""
         count = 0
@@ -475,8 +124,8 @@ class ScanGTOScheduler(_SchedulerBase):
                 idle_sum[warp.kernel_idx] += 1
 
 
-class ScanLRRScheduler(ScanGTOScheduler):
-    """Reference LRR: rotate priority among ready warps by list scan."""
+class LRRScheduler(GTOScheduler):
+    """Loose round robin: rotate priority among ready warps by list scan."""
 
     __slots__ = ("_next_index",)
 
@@ -508,25 +157,13 @@ class ScanLRRScheduler(ScanGTOScheduler):
         return None
 
 
-_CORES = {
-    ("gto", "event"): GTOScheduler,
-    ("lrr", "event"): LRRScheduler,
-    ("gto", "scan"): ScanGTOScheduler,
-    ("lrr", "scan"): ScanLRRScheduler,
-    # The batch core's scalar-fallback path IS the event core: between
-    # vectorised windows (repro.sim.batch) the engine steps these same
-    # schedulers, whose queues each window rebuilds at sync-out.
-    ("gto", "batch"): GTOScheduler,
-    ("lrr", "batch"): LRRScheduler,
-}
+_POLICIES = {"gto": GTOScheduler, "lrr": LRRScheduler}
 
 
-def make_scheduler(policy: str, notify=None, core: str = "event"):
-    """Factory for the configured issue policy and core variant."""
+def make_scheduler(policy: str, notify=None):
+    """Factory for the configured issue policy."""
     try:
-        cls = _CORES[(policy, core)]
+        cls = _POLICIES[policy]
     except KeyError:
-        raise ValueError(
-            f"unknown scheduler policy/core combination {policy!r}/{core!r}"
-        ) from None
+        raise ValueError(f"unknown scheduler policy {policy!r}") from None
     return cls(notify)

@@ -40,8 +40,7 @@ class SM:
         self.kernel_stats = kernel_stats
         self.resources = SMResources(config.sm)
         self.schedulers = [make_scheduler(config.scheduler_policy,
-                                          self._sleep_changed,
-                                          config.engine_core)
+                                          self._sleep_changed)
                            for _ in range(config.sm.warp_schedulers)]
         self.tbs: List[ThreadBlock] = []
         num_kernels = len(runtimes)
@@ -263,9 +262,8 @@ class SM:
         warps are what the non-QoS side can reclaim).
 
         The engine also calls this directly for SMs it sleep-skips on a
-        sample cycle, so every SM observes every grid point.  Counting goes
-        through the schedulers' readiness structures (``sample_ready``):
-        O(ready warps) on the event core instead of a scan over every warp.
+        sample cycle, so every SM observes every grid point.  Counting is
+        each scheduler's ``sample_ready`` scan over its warps.
         """
         idle = self.idle_sum
         for scheduler in self.schedulers:

@@ -106,11 +106,6 @@ class ThreadBlock:
             if peer.state == WarpState.AT_BARRIER:
                 peer.state = WarpState.RUNNING
                 peer.ready_at = cycle + 1
-                # A release changes readiness out of band: the owning
-                # scheduler's wake queues must re-track the warp.
-                sched = peer.sched
-                if sched is not None:
-                    sched.requeue(peer)
         return True
 
     def freeze(self) -> None:

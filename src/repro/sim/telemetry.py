@@ -15,12 +15,12 @@ paper's Figure 3 loop saw and decided that epoch:
 * TB moves (partial context switches) with victim SM/kernel and drain
   latency, recorded at :meth:`GPUSimulator.evict_tb`;
 * sleep-skip counters: ``sleep_skipped_sm_cycles`` is the SM-cycles in
-  the epoch during which an SM issued nothing (the opportunity the event
-  core's per-SM sleep skipping exploits) and ``idle_jump_cycles`` the
+  the epoch during which an SM issued nothing (the opportunity the run
+  loop's per-SM sleep skipping exploits) and ``idle_jump_cycles`` the
   whole-GPU zero-issue cycles (the whole-GPU idle jump's opportunity).
   Both are defined from the issue trajectory — not from which cycles a
-  particular core actually skipped — so records stay byte-identical
-  between ``engine_core="event"`` and ``"scan"``.
+  particular core actually skipped or batched — so records stay
+  byte-identical between ``engine_core="event"`` and ``"batch"``.
 
 Recording is strictly observational — the recorder never touches machine
 state, and every value is derived from state the simulator computes

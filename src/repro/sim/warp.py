@@ -34,13 +34,10 @@ class Warp:
         "lcg", "cursor", "last_line",
         # Scheduler bookkeeping: ``sched`` is a back-reference to the owning
         # scheduler (set at add_warp, cleared at remove_warp) so TB removal
-        # and out-of-band wake events are O(1) instead of probing every
-        # scheduler.  The remaining fields are the event-driven scheduler's
-        # queue state (see repro.sim.scheduler): ``age`` is the per-scheduler
-        # insertion number (GTO "oldest" order), ``pos`` the current index in
-        # the scheduler's warp list (LRR rotation order), ``in_ready`` /
-        # ``pending_key`` track membership in the ready list / pending heap.
-        "sched", "age", "pos", "in_ready", "pending_key",
+        # is O(1) instead of probing every scheduler; ``pos`` is the warp's
+        # current index in that scheduler's warp list (LRR rotation order,
+        # read by the batch core's LRR replay).
+        "sched", "pos",
     )
 
     def __init__(self, kernel_idx: int, tb, warp_id_in_tb: int, seed: int,
@@ -55,10 +52,7 @@ class Warp:
         self.cursor = start_cursor
         self.last_line = start_cursor
         self.sched = None
-        self.age = -1
         self.pos = -1
-        self.in_ready = False
-        self.pending_key = None
 
     def next_random(self) -> int:
         """Advance the per-warp LCG; returns a 32-bit pseudo-random int."""

@@ -8,6 +8,7 @@ multi-scheduler paths.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -16,6 +17,7 @@ from repro.config import FAST_GPU, GPUConfig, MemoryConfig, SMConfig
 from repro.kernels import get_kernel
 from repro.kernels.spec import InstructionMix, KernelSpec, MemoryPattern
 from repro.sim import GPUSimulator, LaunchedKernel
+from repro.sim.sm import SM
 
 
 @pytest.fixture
@@ -130,3 +132,29 @@ def unusable_pool(request, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make_pool)
     return attempts
+
+
+@contextlib.contextmanager
+def _every_sm_every_cycle():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SM, "wake_hint", lambda self: 0)
+        yield
+
+
+@pytest.fixture
+def scan_oracle():
+    """The reference both engine cores are tested against.
+
+    Returns a context manager that pins ``SM.wake_hint`` to 0.  A simulator
+    run inside it with ``engine_core="event"`` steps every SM every cycle
+    and never jumps idle cycles: a plain per-cycle scan with no sleep
+    skipping and no batch windows.  The run loop's inlined fast path reads
+    ``SM._wake_min`` while the cache is clean, and only the real
+    ``wake_hint`` ever raises that above its initial 0, so pinning the
+    method pins both paths.  Build and run the whole simulator inside::
+
+        with scan_oracle():
+            sim = GPUSimulator(config, launches, policy)
+            sim.run(cycles)
+    """
+    return _every_sm_every_cycle

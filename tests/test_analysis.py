@@ -599,7 +599,7 @@ class TestSaltCoverage:
 
     def test_lazily_imported_batch_module_is_flagged(self, tmp_path):
         # The engine imports repro.sim.batch inside a function (so the
-        # scan/event cores never pay the numpy import); SALT001 walks
+        # event core never pays the numpy import); SALT001 walks
         # function-level imports too, so the batch module cannot silently
         # drop out of the salted closure if the `sim` entry is narrowed.
         root = mini_repro(
@@ -608,7 +608,7 @@ class TestSaltCoverage:
                     "harness/cache.py"),
             engine_body=(
                 "import repro.config\n"
-                "def _run_batch():\n"
+                "def run():\n"
                 "    from repro.sim.batch import BatchState\n"
                 "    return BatchState\n"),
             extra={"src/repro/sim/batch.py":
@@ -627,7 +627,7 @@ class TestSaltCoverage:
                     "harness/cache.py"),
             engine_body=(
                 "import repro.config\n"
-                "def _run_batch():\n"
+                "def run():\n"
                 "    from repro.sim.batch import BatchState\n"
                 "    return BatchState\n"),
             extra={"src/repro/sim/batch.py":

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import (
+    ENGINE_CORES,
     FAST_GPU,
     GPUConfig,
     LatencyConfig,
@@ -95,6 +96,14 @@ class TestValidation:
     def test_rejects_nonpositive_epoch(self):
         with pytest.raises(ValueError):
             GPUConfig(epoch_length=0)
+
+    def test_rejects_removed_scan_core_naming_accepted_cores(self):
+        with pytest.raises(ValueError) as excinfo:
+            GPUConfig(engine_core="scan")
+        message = str(excinfo.value)
+        assert "'scan'" in message
+        for core in ENGINE_CORES:
+            assert repr(core) in message
 
     def test_scaled_returns_modified_copy(self):
         modified = PAPER_GPU.scaled(num_sms=8)

@@ -7,6 +7,7 @@ keying of gain presets, the scoring harness and the ``repro controllers``
 CLI.
 """
 
+import contextlib
 import dataclasses
 import json
 import pathlib
@@ -285,24 +286,28 @@ class TestGoldenDifferential:
     behaviour change: every pre-seam record replays bit-identically."""
 
     @pytest.mark.parametrize("core", ["event", "scan", "batch"])
-    def test_schemes_bit_identical_to_pre_seam_records(self, core):
-        # The golden file predates the batch core; since the batch core is
-        # defined as record-for-record identical to the event core, its
-        # records replay against the event core's golden entries.
-        golden_core = "event" if core == "batch" else core
-        runner = CaseRunner(FAST_GPU.scaled(engine_core=core),
-                            GOLDEN["cycles"])
+    def test_schemes_bit_identical_to_pre_seam_records(self, core,
+                                                       scan_oracle):
+        # The golden file holds identical "event" and "scan" entries.
+        # "scan" runs the event core under the scan oracle (every SM
+        # stepped every cycle) against the scan entries; both engine cores
+        # replay against the event entries.
+        golden_core = "scan" if core == "scan" else "event"
+        runner = CaseRunner(FAST_GPU.scaled(
+            engine_core="event" if core == "scan" else core),
+            GOLDEN["cycles"])
         mismatches = []
-        for scheme in ("naive", "history", "elastic", "rollover"):
-            for label, case in sorted(GOLDEN["cases"].items()):
-                record = runner.run_case(
-                    tuple(case["names"]), tuple(case["qos"]),
-                    tuple(case["goals"]), scheme)
-                current = json.loads(
-                    json.dumps(dataclasses.asdict(record)))
-                key = f"{golden_core}/{scheme}/{label}"
-                if current != GOLDEN["records"][key]:
-                    mismatches.append(f"{core}/{scheme}/{label}")
+        with scan_oracle() if core == "scan" else contextlib.nullcontext():
+            for scheme in ("naive", "history", "elastic", "rollover"):
+                for label, case in sorted(GOLDEN["cases"].items()):
+                    record = runner.run_case(
+                        tuple(case["names"]), tuple(case["qos"]),
+                        tuple(case["goals"]), scheme)
+                    current = json.loads(
+                        json.dumps(dataclasses.asdict(record)))
+                    key = f"{golden_core}/{scheme}/{label}"
+                    if current != GOLDEN["records"][key]:
+                        mismatches.append(f"{core}/{scheme}/{label}")
         assert mismatches == []
 
 

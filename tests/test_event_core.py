@@ -1,15 +1,16 @@
-"""Differential tests: the performance cores vs the reference scan core.
+"""Differential tests: the engine cores vs the scan oracle.
 
-Both performance reworks must produce record-for-record identical
-:class:`SimulationResult`s — and identical idle-warp sampling state — to
-the reference per-cycle-scan core, for every sharing scheme (plus the
-pid/mpc controllers) and both scheduler policies:
+Both cores in ``ENGINE_CORES`` must produce record-for-record identical
+:class:`SimulationResult`s — and identical idle-warp sampling state and
+telemetry — to the scan oracle (the ``scan_oracle`` fixture: the run loop
+with ``SM.wake_hint`` pinned to 0, stepping every SM every cycle), for
+every sharing scheme plus the pid/mpc controllers and both scheduler
+policies:
 
-* the **event** core (per-SM sleep skipping in the engine plus two-tier
-  warp wake queues in the schedulers), and
+* the **event** core (per-SM sleep skipping and whole-GPU idle jumps), and
 * the **batch** core (windowed struct-of-arrays advancement in
-  :mod:`repro.sim.batch`, dropping to the event core's scalar path on
-  control-flow edges).
+  :mod:`repro.sim.batch`, dropping to the scalar path on control-flow
+  edges).
 
 The batch-specific classes at the bottom force the scalar fallback *mid
 run* — preemption-driven TB moves and quota exhaustion between vectorised
@@ -19,7 +20,7 @@ vacuous.
 
 import pytest
 
-from repro.config import GPUConfig, SMConfig
+from repro.config import ENGINE_CORES, GPUConfig, SMConfig
 from repro.harness.runner import make_policy
 from repro.kernels.spec import InstructionMix, KernelSpec, MemoryPattern
 from repro.sim import GPUSimulator, LaunchedKernel, SharingPolicy
@@ -48,46 +49,70 @@ def gpu_config(core, scheduler_policy):
                      scheduler_policy=scheduler_policy)
 
 
-def run_sim(core, scheme, scheduler_policy, cycles=2500):
-    launches = [
+def two_kernel_launches():
+    return [
         LaunchedKernel(spec("qos-k", mix=InstructionMix(
             alu=0.7, sfu=0.05, ldg=0.15, stg=0.05, lds=0.05)),
             is_qos=True, ipc_goal=40.0),
         LaunchedKernel(spec("bg-k", mix=InstructionMix(
             alu=0.3, sfu=0.0, ldg=0.55, stg=0.1, lds=0.05), ilp=0.2)),
     ]
-    sim = GPUSimulator(gpu_config(core, scheduler_policy), launches,
-                       make_policy(scheme))
+
+
+def run_sim(core, scheme, scheduler_policy, cycles=2500):
+    sim = GPUSimulator(gpu_config(core, scheduler_policy),
+                       two_kernel_launches(), make_policy(scheme))
     sim.run(cycles)
     sampling = [(sm.idle_samples, tuple(sm.idle_sum)) for sm in sim.sms]
     return sim.result(), sampling
 
 
+def assert_cores_match_oracle(scan_oracle, run, *args):
+    """``run(core, *args)`` on every engine core equals its oracle run."""
+    with scan_oracle():
+        reference = run("event", *args)
+    for core in ENGINE_CORES:
+        assert run(core, *args) == reference, core
+    return reference
+
+
 class TestRecordIdentical:
-    """Three-way differential: scan, event and batch must agree exactly."""
+    """Every engine core must agree exactly with the scan oracle."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_gto(self, scheme):
-        event = run_sim("event", scheme, "gto")
-        scan = run_sim("scan", scheme, "gto")
-        batch = run_sim("batch", scheme, "gto")
-        assert event == scan
-        assert batch == scan
+    def test_gto(self, scheme, scan_oracle):
+        assert_cores_match_oracle(scan_oracle, run_sim, scheme, "gto")
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_lrr(self, scheme):
-        event = run_sim("event", scheme, "lrr")
-        scan = run_sim("scan", scheme, "lrr")
-        batch = run_sim("batch", scheme, "lrr")
-        assert event == scan
-        assert batch == scan
+    def test_lrr(self, scheme, scan_oracle):
+        assert_cores_match_oracle(scan_oracle, run_sim, scheme, "lrr")
 
     @pytest.mark.parametrize("scheme", ["pid", "mpc"])
     @pytest.mark.parametrize("policy", ["gto", "lrr"])
-    def test_controller_schemes(self, scheme, policy):
-        event = run_sim("event", scheme, policy)
-        batch = run_sim("batch", scheme, policy)
-        assert batch == event
+    def test_controller_schemes(self, scheme, policy, scan_oracle):
+        assert_cores_match_oracle(scan_oracle, run_sim, scheme, policy)
+
+    def test_oracle_steps_every_sm_every_cycle(self, scan_oracle,
+                                               monkeypatch):
+        # The differentials above are only as strong as the oracle: it
+        # must step every SM on every cycle, where the event core sleeps
+        # through stalls.
+        from repro.sim.sm import SM
+
+        steps = []
+        original = SM.step
+
+        def counting_step(self, cycle, sample=False):
+            steps.append(cycle)
+            return original(self, cycle, sample)
+
+        monkeypatch.setattr(SM, "step", counting_step)
+        with scan_oracle():
+            run_sim("event", "rollover", "gto")
+        assert len(steps) == 2 * 2500
+        steps.clear()
+        run_sim("event", "rollover", "gto")
+        assert 0 < len(steps) < 2 * 2500
 
 
 class TestSleepSkipSampling:
@@ -132,37 +157,40 @@ class TestSleepSkipSampling:
         for per_sm in counts[1:]:
             assert per_sm == [10, 10]
 
-    @pytest.mark.parametrize("core", ["event", "batch"])
-    def test_matches_scan_core(self, core):
-        assert self._counts(core) == self._counts("scan")
+    @pytest.mark.parametrize("core", ENGINE_CORES)
+    def test_matches_scan_core(self, core, scan_oracle):
+        with scan_oracle():
+            reference = self._counts("event")
+        assert self._counts(core) == reference
 
 
 class TestTelemetryRecordIdentical:
-    """Telemetry streams must be byte-identical between cores: the sleep
-    counters are defined from the issue trajectory, not from which cycles a
-    particular core actually skipped."""
+    """Telemetry streams must be byte-identical to the scan oracle's: the
+    sleep counters are defined from the issue trajectory, not from which
+    cycles a particular core actually skipped or batched."""
 
-    def _records(self, core, scheme):
+    @staticmethod
+    def _records(core, scheme, scheduler_policy="gto"):
         from repro.sim import TelemetryRecorder
-        launches = [
-            LaunchedKernel(spec("qos-k", mix=InstructionMix(
-                alu=0.7, sfu=0.05, ldg=0.15, stg=0.05, lds=0.05)),
-                is_qos=True, ipc_goal=40.0),
-            LaunchedKernel(spec("bg-k", mix=InstructionMix(
-                alu=0.3, sfu=0.0, ldg=0.55, stg=0.1, lds=0.05), ilp=0.2)),
-        ]
-        sim = GPUSimulator(gpu_config(core, "gto"), launches,
-                           make_policy(scheme), telemetry=TelemetryRecorder())
+        sim = GPUSimulator(gpu_config(core, scheduler_policy),
+                           two_kernel_launches(), make_policy(scheme),
+                           telemetry=TelemetryRecorder())
         sim.run(2500)
         return sim.finalize_telemetry()
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_event_matches_scan(self, scheme):
-        assert self._records("event", scheme) == self._records("scan", scheme)
+    def _assert_matches_oracle(self, scan_oracle, core, scheme):
+        for policy in ("gto", "lrr"):
+            with scan_oracle():
+                reference = self._records("event", scheme, policy)
+            assert self._records(core, scheme, policy) == reference
 
     @pytest.mark.parametrize("scheme", SCHEMES_PLUS_CONTROLLERS)
-    def test_batch_matches_scan(self, scheme):
-        assert self._records("batch", scheme) == self._records("scan", scheme)
+    def test_event_matches_scan(self, scheme, scan_oracle):
+        self._assert_matches_oracle(scan_oracle, "event", scheme)
+
+    @pytest.mark.parametrize("scheme", SCHEMES_PLUS_CONTROLLERS)
+    def test_batch_matches_scan(self, scheme, scan_oracle):
+        self._assert_matches_oracle(scan_oracle, "batch", scheme)
 
     def test_sleep_counters_nonzero_somewhere(self):
         # The identity above must not hold vacuously: this workload does
@@ -282,9 +310,9 @@ class TestBatchScalarFallback:
 class TestServedWorkloadDifferential:
     """A served workload — mid-simulation ``launch_at`` plus finite-grid
     retire driven by the dispatcher — must replay record- and telemetry-
-    identical on all three cores.  Arrival cycles bound the event core's
-    sleep skips and the batch core's probe horizon; these differentials
-    keep those bounds honest."""
+    identical on both cores and the scan oracle.  Arrival cycles bound the
+    event core's sleep skips and the batch core's probe horizon; these
+    differentials keep those bounds honest."""
 
     HORIZON = 14000
 
@@ -303,10 +331,8 @@ class TestServedWorkloadDifferential:
         dispatcher = Dispatcher(gpu, max_concurrent=2, telemetry=True)
         return dispatcher.serve(requests, cls.HORIZON)
 
-    def test_three_core_identity(self):
-        results = {core: self._serve(core)
-                   for core in ("scan", "event", "batch")}
-        base = results["scan"]
+    def test_three_core_identity(self, scan_oracle):
+        base = assert_cores_match_oracle(scan_oracle, self._serve)
         # Non-vacuous: requests really were launched mid-run and retired
         # (freeing slots the queues refilled), and the machine really
         # slept between arrivals.
@@ -315,8 +341,6 @@ class TestServedWorkloadDifferential:
         assert base.sim_result is not None
         assert any(record.sleep_skipped_sm_cycles
                    for record in base.telemetry)
-        assert results["event"] == base
-        assert results["batch"] == base
 
     def test_batch_windows_open(self, monkeypatch):
         """The identity above must not come from the batch core never

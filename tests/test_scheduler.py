@@ -3,9 +3,7 @@
 import pytest
 
 from repro.kernels.spec import KernelSpec
-from repro.sim.scheduler import (GTOScheduler, LRRScheduler,
-                                 ScanGTOScheduler, ScanLRRScheduler,
-                                 make_scheduler)
+from repro.sim.scheduler import GTOScheduler, LRRScheduler, make_scheduler
 from repro.sim.tb import ThreadBlock
 from repro.sim.warp import Warp, WarpState
 
@@ -167,17 +165,9 @@ class TestFactory:
     def test_lrr(self):
         assert isinstance(make_scheduler("lrr"), LRRScheduler)
 
-    def test_scan_core(self):
-        assert isinstance(make_scheduler("gto", core="scan"), ScanGTOScheduler)
-        assert isinstance(make_scheduler("lrr", core="scan"), ScanLRRScheduler)
-
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_scheduler("random")
-
-    def test_unknown_core(self):
-        with pytest.raises(ValueError):
-            make_scheduler("gto", core="magic")
 
 
 class TestBackReference:
@@ -189,70 +179,3 @@ class TestBackReference:
         scheduler.remove_warp(warp)
         assert warp.sched is None
 
-
-class TestScanEquivalence:
-    """The event-driven two-tier core must reproduce the reference scan
-    core's selection sequence warp for warp under identical stimulus:
-    issue-driven stalls of every length, quota throttling and refresh,
-    warp retirement, and warp removal."""
-
-    def _lockstep(self, policy, cycles=600, num_warps=12, seed=7):
-        event = make_scheduler(policy, core="event")
-        scan = make_scheduler(policy, core="scan")
-        ev_warps, sc_warps = [], []
-        for i in range(num_warps):
-            ev, sc = make_warp(kernel_idx=i % 3), make_warp(kernel_idx=i % 3)
-            event.add_warp(ev)
-            scan.add_warp(sc)
-            ev_warps.append(ev)
-            sc_warps.append(sc)
-        quota = [True, True, True]
-        state = seed
-        for cycle in range(cycles):
-            state = (state * 1103515245 + 12345) % (1 << 31)
-            if state % 71 == 0:  # flip a kernel's quota eligibility
-                kernel = state % 3
-                quota[kernel] = not quota[kernel]
-                if quota[kernel]:  # a refresh wakes (SM.set_quota does)
-                    event.wake()
-                    scan.wake()
-            if state % 233 == 0 and len(sc_warps) > 4:  # evict a warp
-                victim = state % len(sc_warps)
-                event.remove_warp(ev_warps.pop(victim))
-                scan.remove_warp(sc_warps.pop(victim))
-            pick_scan = scan.select(cycle, quota)
-            pick_event = event.select(cycle, quota)
-            assert event.sleep_until == scan.sleep_until
-            if pick_scan is None:
-                assert pick_event is None
-                continue
-            index = sc_warps.index(pick_scan)
-            assert pick_event is ev_warps[index]
-            if state % 41 == 0:  # retire
-                pick_event.state = pick_scan.state = WarpState.DONE
-                continue
-            # Issue: stall both copies identically — pipeline-short,
-            # L2-medium, or DRAM-long.
-            stall = (1, 4, 24, 130, 400)[state % 5]
-            pick_event.ready_at = pick_scan.ready_at = cycle + stall
-        # The run must actually exercise selection, not sleep through it.
-        assert any(w.state == WarpState.DONE for w in sc_warps)
-
-    def test_gto_lockstep(self):
-        self._lockstep("gto")
-
-    def test_lrr_lockstep(self):
-        self._lockstep("lrr")
-
-    def test_sample_ready_matches_scan(self):
-        event = make_scheduler("gto", core="event")
-        scan = make_scheduler("gto", core="scan")
-        for i in range(8):
-            ready_at = (0, 3, 90, 500)[i % 4]
-            event.add_warp(make_warp(kernel_idx=i % 2, ready_at=ready_at))
-            scan.add_warp(make_warp(kernel_idx=i % 2, ready_at=ready_at))
-        for cycle in (0, 5, 100, 600):
-            ev_sum, sc_sum = [0, 0, 0], [0, 0, 0]
-            event.sample_ready(cycle, ev_sum)
-            scan.sample_ready(cycle, sc_sum)
-            assert ev_sum == sc_sum
