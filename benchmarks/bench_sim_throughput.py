@@ -2,19 +2,16 @@
 
 Measures, on the current machine:
 
-1. Engine hot-path speed: simulated cycles/second for the canonical
-   workload shapes, run under every core in ``repro.config.ENGINE_CORES``
-   — the event core (``engine_core="event"``, the default) and the
-   windowed struct-of-arrays batch core (``"batch"``) — with the per-shape
-   batch-over-event speedup.  The *membound stream* shape is the
-   sleep-skipping showcase: a bandwidth-bound kernel on many
-   single-scheduler SMs under deep DRAM latency, so most SMs spend most
-   cycles stalled and the run loop skips them with one comparison each.
-   The *compute alu-dense* shape is the batch core's showcase: a
-   memory-free high-ILP kernel whose only window edges are the idle-warp
-   sample grid, so the batch core advances whole SMs hundreds of cycles
-   at a time.
-2. A per-function cProfile hotspot table for the event core on the
+1. Engine hot-path speed: simulated cycles/second of
+   ``GPUSimulator.run`` for the canonical workload shapes.  The *membound
+   stream* shape is the sleep-skipping showcase: a bandwidth-bound kernel
+   on many single-scheduler SMs under deep DRAM latency, so most SMs
+   spend most cycles stalled and the run loop skips them with one
+   comparison each.  The *compute alu-dense* shape is the opposite end: a
+   memory-free high-ILP kernel that keeps every SM issuing almost every
+   cycle, so nothing can be skipped and the per-cycle issue path is all
+   that is timed.
+2. A per-function cProfile hotspot table for the run loop on the
    showcase shape, so regressions in the hot path are visible as moved
    rows rather than just a slower total.
 3. Epoch-telemetry overhead: the canonical shapes timed with telemetry
@@ -29,18 +26,17 @@ Run standalone — it is a script, not a pytest benchmark::
 
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py
 
-``--quick`` runs only the engine comparison and hotspot table at reduced
+``--quick`` runs only the engine timings and hotspot table at reduced
 cycle counts and never writes results; CI uses it as a smoke test that the
 bench harness itself works (no timing assertions).
 
 The report is printed and written to ``benchmarks/results/
-bench_sim_throughput.txt``; the engine comparison is additionally written
+bench_sim_throughput.txt``; the engine timings are additionally written
 as machine-readable JSON to ``benchmarks/results/BENCH_sim_throughput.json``
 (or wherever ``--json`` points, which works in ``--quick`` mode too) so the
-perf trajectory is diffable across PRs.  Parallel speedup scales with the
-core count
-(printed in the header); the warm-cache rerun is machine-independent and
-should cost well under 10% of the cold sweep.
+perf trajectory is diffable across commits.  Parallel speedup scales with
+the core count (printed in the header); the warm-cache rerun is
+machine-independent and should cost well under 10% of the cold sweep.
 """
 
 from __future__ import annotations
@@ -54,12 +50,8 @@ import platform
 import pstats
 import tempfile
 import time
-from dataclasses import replace
 
-import repro.sim.batch  # noqa: F401  — warm numpy outside the timed regions
-
-from repro.config import ENGINE_CORES, FAST_GPU, KB, LatencyConfig, \
-    MemoryConfig, SMConfig
+from repro.config import FAST_GPU, KB, LatencyConfig, MemoryConfig, SMConfig
 from repro.harness.cache import (CaseCache, code_salt, experiment_id_for,
                                  experiment_spec_hash, sweep_grid_payload)
 from repro.harness.parallel import ParallelCaseRunner, resolve_workers
@@ -91,11 +83,10 @@ MEMBOUND_GPU = FAST_GPU.scaled(
         latency=LatencyConfig(dram=2000, dram_row_hit=1200, l2_hit=500)))
 
 
-# The batch-core showcase: a memory-free, barrier-free, high-ILP ALU kernel
-# (greedy runs of back-to-back single-cycle instructions are long, so the
-# bulk-apply path dominates) on the fast machine with a sparse idle-warp
-# sample grid — the only window edges left are the 500-cycle grid points,
-# so each probe opens a full-interval window.
+# The dense-issue shape: a memory-free, barrier-free, high-ILP ALU kernel
+# (greedy runs of back-to-back single-cycle instructions are long, so some
+# warp is ready on almost every cycle) on the fast machine with a sparse
+# 500-cycle idle-warp sample grid.
 COMPUTE_GPU = FAST_GPU.scaled(epoch_length=10_000, idle_warp_samples=20)
 
 
@@ -139,34 +130,26 @@ def _time_run(gpu, launches, policy_name, cycles, repeats=2,
 
 
 def engine_throughput(cycles: int, repeats: int = 3) -> list:
-    """Per-shape timings for every engine core, plus the speedup ratio.
+    """Per-shape run-loop timings.
 
     Returns one dict per shape — the same structure the JSON report
-    serialises — with ``seconds`` and ``cycles_per_second`` keyed by core
-    name and the derived ``speedup`` ratios.
+    serialises — with the best-of-``repeats`` ``seconds`` and the derived
+    ``cycles_per_second``.
     """
     rows = []
     for label, gpu, launches, policy_name in _shapes():
-        seconds = {
-            core: _time_run(replace(gpu, engine_core=core),
-                            launches, policy_name, cycles, repeats)
-            for core in ENGINE_CORES
-        }
+        seconds = _time_run(gpu, launches, policy_name, cycles, repeats)
         rows.append({
             "label": label,
             "cycles": cycles,
             "seconds": seconds,
-            "cycles_per_second": {core: cycles / elapsed
-                                  for core, elapsed in seconds.items()},
-            "speedup": {
-                "batch_vs_event": seconds["event"] / seconds["batch"],
-            },
+            "cycles_per_second": cycles / seconds,
         })
     return rows
 
 
 def hotspot_table(cycles: int, top: int = 8) -> list:
-    """Top event-core functions by internal time on the showcase shape."""
+    """Top functions by internal time on the sleep-skipping showcase."""
     sim = GPUSimulator(MEMBOUND_GPU, [LaunchedKernel(streaming_kernel())])
     profiler = cProfile.Profile()
     profiler.enable()
@@ -261,17 +244,13 @@ def format_report(engine_rows, hotspot_rows, telemetry_rows, sweep_rows,
                  f"cores {os.cpu_count()}  workers {workers}  "
                  f"code salt {code_salt()}")
     lines.append("")
-    lines.append(f"engine hot path ({cycles} cycles; event = cycle "
-                 "stepping, batch = struct-of-arrays windows)")
-    lines.append(f"{'workload':<28}{'cyc/s event':>13}{'cyc/s batch':>13}"
-                 f"{'ba/ev':>9}")
+    lines.append(f"engine hot path ({cycles} cycles, best of repeats)")
+    lines.append(f"{'workload':<28}{'seconds':>9}{'cyc/s':>13}")
     for row in engine_rows:
-        rate = row["cycles_per_second"]
-        lines.append(f"{row['label']:<28}{rate['event']:>13,.0f}"
-                     f"{rate['batch']:>13,.0f}"
-                     f"{row['speedup']['batch_vs_event']:>8.2f}x")
+        lines.append(f"{row['label']:<28}{row['seconds']:>9.3f}"
+                     f"{row['cycles_per_second']:>13,.0f}")
     lines.append("")
-    lines.append("event-core hotspots (membound stream, by internal time)")
+    lines.append("run-loop hotspots (membound stream, by internal time)")
     lines.append(f"{'function':<44}{'calls':>9}{'tottime':>9}{'cumtime':>9}")
     for name, ncalls, tottime, cumtime in hotspot_rows:
         lines.append(f"{name:<44}{ncalls:>9}{tottime:>9.3f}{cumtime:>9.3f}")
@@ -300,14 +279,13 @@ def format_report(engine_rows, hotspot_rows, telemetry_rows, sweep_rows,
 
 
 def json_report(engine_rows, cycles: int, workers: int) -> dict:
-    """The machine-readable engine comparison (diffable across PRs)."""
+    """The machine-readable engine timings (diffable across commits)."""
     return {
         "bench": "sim_throughput",
         "cycles": cycles,
         "workers": workers,
         "python": platform.python_version(),
         "code_salt": code_salt(),
-        "cores": list(ENGINE_CORES),
         "shapes": engine_rows,
         "sweep_experiment": sweep_experiment_identity(cycles),
     }
@@ -327,12 +305,12 @@ def main() -> int:
                         help="pool width (default: REPRO_WORKERS or "
                              "cpu_count-1)")
     parser.add_argument("--quick", action="store_true",
-                        help="engine comparison + hotspots only, at reduced "
+                        help="engine timings + hotspots only, at reduced "
                              "cycles; implies --no-save (CI smoke mode)")
     parser.add_argument("--no-save", action="store_true",
                         help="print only; do not update benchmarks/results/")
     parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the engine-comparison JSON here "
+                        help="also write the engine-timings JSON here "
                              "(works with --quick; default in full save "
                              f"mode: {JSON_PATH})")
     args = parser.parse_args()

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Watch the QoS manager converge: an epoch-by-epoch timeline.
 
-Wraps the Rollover policy in a :class:`repro.trace.TraceRecorder` and
-renders per-kernel IPC and TB-residency sparklines.  You can see the three
-mechanisms of the paper acting in sequence: the quota throttle pinning the
-QoS kernel's IPC to its goal, alpha briefly rising while the warm-up deficit
-is repaid, and the static allocator shifting TBs until the best-effort
-kernel owns the leftover TLP.
+Records the Rollover policy's engine telemetry (one
+:class:`repro.sim.EpochRecord` per completed epoch) and renders per-kernel
+IPC and TB-residency sparklines.  You can see the three mechanisms of the
+paper acting in sequence: the quota throttle pinning the QoS kernel's IPC
+to its goal, alpha briefly rising while the warm-up deficit is repaid, and
+the static allocator shifting TBs until the best-effort kernel owns the
+leftover TLP.
 
 Run:  python examples/qos_timeline.py
 """
 
 from repro import FAST_GPU, GPUSimulator, LaunchedKernel, QoSPolicy, get_kernel
-from repro.trace import TraceRecorder, render_timeline
+from repro.sim import TelemetryRecorder
+from repro.trace import render_timeline
 
 CYCLES = 30_000
 QOS, NONQOS = "mri-q", "stencil"
@@ -27,21 +29,24 @@ def isolated_ipc(name: str) -> float:
 
 def main() -> None:
     goal = GOAL_FRACTION * isolated_ipc(QOS)
-    recorder = TraceRecorder(QoSPolicy("rollover"))
+    recorder = TelemetryRecorder()
     sim = GPUSimulator(FAST_GPU, [
         LaunchedKernel(get_kernel(QOS), is_qos=True, ipc_goal=goal),
         LaunchedKernel(get_kernel(NONQOS)),
-    ], recorder)
+    ], QoSPolicy("rollover"), telemetry=recorder)
     sim.run(CYCLES)
 
-    print(render_timeline(recorder, [QOS, NONQOS], goals=[goal, None]))
+    # Epochs closed at a boundary; finalize_telemetry() would also flush
+    # the one still open when the run stops.
+    records = recorder.records
+    print(render_timeline(records, [QOS, NONQOS], goals=[goal, None]))
     print()
-    last = recorder.samples[-1]
+    qos, nonqos = records[-1].kernels
     result = sim.result()
     print(f"final: {QOS} IPC {result.kernels[0].ipc:.1f} "
-          f"(goal {goal:.1f}, alpha {last.alphas.get(0, 1.0):.2f}), "
+          f"(goal {goal:.1f}, alpha {qos.alpha:.2f}), "
           f"{NONQOS} IPC {result.kernels[1].ipc:.1f} "
-          f"(artificial goal {last.nonqos_goals.get(1, 0.0):.1f})")
+          f"(artificial goal {nonqos.ipc_goal:.1f})")
     print(f"TB context switches: {result.evictions}")
 
 

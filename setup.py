@@ -1,5 +1,4 @@
 from setuptools import setup
 
-# All metadata — including install deps (numpy for the batch engine core) —
-# lives in pyproject.toml; this stub exists for legacy tooling.
+# All metadata lives in pyproject.toml; this stub exists for legacy tooling.
 setup()

@@ -1,8 +1,8 @@
 """``repro.analysis`` — a static determinism & layering linter ("repro lint").
 
 The reproduction's credibility rests on invariants that used to be enforced
-only dynamically and piecemeal: bit-identical results across the event/batch
-cores and serial/parallel runners, policies that never poke the engine, a
+only dynamically and piecemeal: bit-identical results across idle skipping
+and serial/parallel runners, policies that never poke the engine, a
 content-hash cache whose code salt covers every result-affecting module,
 and a telemetry schema the JSONL exporter can always round-trip.  This
 package checks those properties statically over the whole tree:

@@ -80,7 +80,7 @@ IDENTITY_MARKERS = ("digest", "hash", "key")
 #: Call names that record telemetry / trace output (FLOW003 sinks).
 TELEMETRY_SINKS = frozenset({
     "note_quota", "write_trace", "EpochRecord", "KernelEpochRecord",
-    "TBMove", "EpochSample",
+    "TBMove",
 })
 
 #: ``pool.map``-style producers: element order is the runner's business.

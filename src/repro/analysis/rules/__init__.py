@@ -20,7 +20,7 @@ FLOW003   error      no nondeterminism recorded into telemetry
 FLOAT001  warning    no order-sensitive float accumulation over unordered input
 EFFECT001 error      telemetry export paths never mutate engine state
 EFFECT002 error      PolicyContext observation methods are side-effect-free
-EFFECT003 error      policy code actuates via the seam; batch sync-in is pure
+EFFECT003 error      policy code actuates only via the seam
 LAY001    error      declarative import contracts (policy/engine/harness edges)
 LAY002    error      no attribute assignment into a ``PolicyContext``
 LAY003    error      no underscore-private access on a ``PolicyContext``

@@ -1,8 +1,9 @@
 """Determinism rules: the simulator must be a pure function of its inputs.
 
-Bit-identical replay is a load-bearing property here — the event/batch core
-equivalence, serial/parallel runner equivalence and the content-hash case
-cache (PRs 1-3) all assume that re-running a case reproduces it exactly.
+Bit-identical replay is a load-bearing property here — the run loop's
+equivalence with its every-cycle oracle, serial/parallel runner equivalence
+and the content-hash case cache all assume that re-running a case
+reproduces it exactly.
 These rules flag the classic ways python code silently breaks that:
 
 * ``DET001`` — wall-clock reads (``time.time``, argless ``datetime.now``);

@@ -16,9 +16,7 @@ seams the repo's PRs deliberately built:
   engine by *looking* at it.
 * ``EFFECT003`` — policy-side code that holds a ``PolicyContext``
   actuates only through it (mutating ``self`` and ``ctx`` is its job;
-  mutating anything else, or doing IO, reaches around the seam), and
-  the batch core's sync-in (``BatchState.probe``) stays read-only so
-  the probe can never diverge batch from event execution.
+  mutating anything else, or doing IO, reaches around the seam).
 
 Like every project rule, each contract skips silently when its anchor
 modules are absent, so fixture trees and snippets lint cleanly.
@@ -50,9 +48,6 @@ POLICY_CONTEXT_ACTUATORS = frozenset({
 TELEMETRY_EXPORT_MODULES = (
     "repro.sim.telemetry", "repro.trace.jsonl", "repro.trace.render",
 )
-
-#: Batch-core sync-in methods that must stay read-only (EFFECT003).
-BATCH_SYNC_IN = ("repro.sim.batch.BatchState.probe",)
 
 
 def _mutation_text(tokens: List[str]) -> str:
@@ -174,20 +169,13 @@ class PolicySeamEffectRule(Rule):
     severity = ERROR
     scope = "project"
     summary = ("policy-side code actuates only through the seam (self + "
-               "ctx mutation, no IO), and the batch core's sync-in "
-               "probe stays read-only")
+               "ctx mutation, no IO)")
     explain = """\
-Two contracts with one theme — decisions flow through the seam:
-
-* A policy-side function (repro.qos / repro.baselines / repro.sharing /
-  repro.controllers / repro.trace) that takes a PolicyContext may
-  mutate its own state and actuate through the context, but an
-  inferred mutation of anything else — or IO — means it is reaching
-  around the seam the layering rules fence syntactically.
-* ``BatchState.probe`` is the batch core's sync-in: it inspects warp
-  hot state to decide whether a vectorised window may open.  It must
-  be inferred mutation-free, because a probe that changes state makes
-  the batch core diverge from the event core it must replay exactly.
+Decisions flow through the seam: a policy-side function (repro.qos /
+repro.baselines / repro.sharing / repro.controllers / repro.trace) that
+takes a PolicyContext may mutate its own state and actuate through the
+context, but an inferred mutation of anything else — or IO — means it
+is reaching around the seam the layering rules fence syntactically.
 
 Example finding:
 
@@ -197,16 +185,10 @@ Example finding:
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         from repro.analysis.flow import project_flow
-        flow = None
-        if any(module.name.startswith(POLICY_SIDE_PACKAGES)
-               for module in project.modules):
-            flow = project_flow(project)
-            yield from self._check_policy_side(flow)
-        if project.module("repro.sim.batch") is not None:
-            flow = flow or project_flow(project)
-            yield from self._check_sync_in(flow)
-
-    def _check_policy_side(self, flow) -> Iterator[Finding]:
+        if not any(module.name.startswith(POLICY_SIDE_PACKAGES)
+                   for module in project.modules):
+            return
+        flow = project_flow(project)
         for qname, info in sorted(flow.callgraph.functions.items()):
             if not info.module.name.startswith(POLICY_SIDE_PACKAGES):
                 continue
@@ -229,26 +211,6 @@ Example finding:
                     f"{_short(qname)} takes a PolicyContext but "
                     f"{' and '.join(problems)}; policy decisions must "
                     "actuate only via self/ctx (the PolicyContext seam)")
-
-    def _check_sync_in(self, flow) -> Iterator[Finding]:
-        for qname in BATCH_SYNC_IN:
-            info = flow.callgraph.functions.get(qname)
-            if info is None:
-                continue
-            facts = flow.facts_for(qname)
-            problems = []
-            if facts.mutates:
-                problems.append(
-                    f"mutates {_mutation_text(sorted(facts.mutates))}")
-            if facts.io:
-                problems.append("performs IO")
-            if problems:
-                yield self.finding(
-                    info.module, info.line,
-                    f"batch-core sync-in {_short(qname)} must be "
-                    f"read-only but {' and '.join(problems)}; a probe "
-                    "with side effects diverges batch from event "
-                    "execution")
 
 
 def _short(qname: str) -> str:

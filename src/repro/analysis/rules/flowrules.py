@@ -102,9 +102,9 @@ class TaintedTelemetryRule(_ProjectFlowRule):
     explain = """\
 Telemetry is part of the reproduction's observable output: the JSONL
 exporter promises that two identical runs produce byte-identical
-traces, and the differential tests compare records across engine
-cores.  A wall-clock or RNG-derived value stored into an epoch record
-breaks that silently — the schema still validates.
+traces, and the differential tests compare records with an
+every-cycle oracle run.  A wall-clock or RNG-derived value stored into
+an epoch record breaks that silently — the schema still validates.
 
 Sinks: telemetry record constructors (``EpochRecord``,
 ``KernelEpochRecord``, ``TBMove``, any project ``*Record`` class),

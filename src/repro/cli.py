@@ -32,23 +32,8 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.config import ENGINE_CORES
 from repro.harness.experiments import ExperimentSuite
 from repro.harness.presets import experiment_preset
-
-
-def _apply_engine_core(preset, engine_core: Optional[str]):
-    """Return the preset with its GPU's simulation core overridden.
-
-    The choices come from :data:`repro.config.ENGINE_CORES` — the same
-    registry ``GPUConfig`` validates against — so the CLI and the config
-    layer cannot drift apart.
-    """
-    if engine_core is None or engine_core == preset.gpu.engine_core:
-        return preset
-    import dataclasses
-    return dataclasses.replace(preset,
-                               gpu=preset.gpu.scaled(engine_core=engine_core))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,9 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", default="fast",
                         choices=("fast", "paper", "smoke"),
                         help="experiment scale (default: fast)")
-    parser.add_argument("--engine-core", default=None, choices=ENGINE_CORES,
-                        help="override the preset's simulation core "
-                             "(default: the preset's engine_core)")
     parser.add_argument("-o", "--output-dir", default=None,
                         help="also write each result table to this directory")
     parser.add_argument("--workers", type=int, default=None,
@@ -120,9 +102,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", default="fast",
                         choices=("fast", "paper", "smoke"),
                         help="machine/scale preset (default: fast)")
-    parser.add_argument("--engine-core", default=None, choices=ENGINE_CORES,
-                        help="override the preset's simulation core "
-                             "(default: the preset's engine_core)")
     parser.add_argument("-o", "--output", default=None,
                         help="trace file path (default: stdout)")
     return parser
@@ -141,8 +120,7 @@ def _trace_command(argv: Sequence[str]) -> int:
         print("error: need at least one non-QoS kernel to share with",
               file=sys.stderr)
         return 2
-    preset = _apply_engine_core(experiment_preset(args.preset),
-                                args.engine_core)
+    preset = experiment_preset(args.preset)
     qos_flags = tuple(i < args.qos for i in range(len(args.kernels)))
     goal_fractions = tuple(args.goal if flag else None for flag in qos_flags)
 
@@ -209,8 +187,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if args.experiment == "cache":
         return _cache_command(args.action)
 
-    preset = _apply_engine_core(experiment_preset(args.preset),
-                                args.engine_core)
+    preset = experiment_preset(args.preset)
     suite = ExperimentSuite(preset, workers=args.workers,
                             cache=None if args.no_cache else "default")
     print(suite.preset.describe(), file=sys.stderr)

@@ -178,15 +178,6 @@ class ControllerConfig:
             raise ValueError("mpc_nonqos_floor must be in [0, 1)")
 
 
-#: The one registry of simulation-core variants, shared by
-#: :class:`GPUConfig` validation and the CLI ``--engine-core`` choices.
-#: Both run ``GPUSimulator.run``'s one loop with per-SM sleep skipping.
-#: ``"event"`` steps SMs cycle by cycle; ``"batch"`` also advances whole
-#: SMs in bulk through edge-free windows (:mod:`repro.sim.batch`).  Both
-#: produce record-for-record identical results.
-ENGINE_CORES = ("event", "batch")
-
-
 @dataclass(frozen=True)
 class GPUConfig:
     """Complete machine description handed to :class:`repro.sim.GPUSimulator`."""
@@ -196,8 +187,6 @@ class GPUConfig:
     core_freq_mhz: float = 1216.0
     mem_freq_mhz: float = 7000.0
     scheduler_policy: str = "gto"
-    #: Simulation-core variant; see :data:`ENGINE_CORES`.
-    engine_core: str = "event"
     epoch_length: int = 10_000
     idle_warp_samples: int = 100
     sm: SMConfig = field(default_factory=SMConfig)
@@ -214,10 +203,6 @@ class GPUConfig:
             raise ValueError("epoch_length must be positive")
         if self.scheduler_policy not in ("gto", "lrr"):
             raise ValueError(f"unknown scheduler policy {self.scheduler_policy!r}")
-        if self.engine_core not in ENGINE_CORES:
-            accepted = ", ".join(repr(core) for core in ENGINE_CORES)
-            raise ValueError(f"unknown engine core {self.engine_core!r} "
-                             f"(accepted: {accepted})")
 
     def scaled(self, **overrides) -> "GPUConfig":
         """Return a copy with the given fields replaced (convenience wrapper)."""

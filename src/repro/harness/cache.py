@@ -64,19 +64,11 @@ def salted_paths() -> list:
 
 
 def code_salt() -> str:
-    """Digest of the simulation-affecting source tree (memoised).
-
-    The installed numpy version joins the digest: the batch engine core
-    (``repro/sim/batch.py``) computes window horizons with numpy, so a
-    numpy upgrade is treated exactly like an edit to a salted source file
-    and invalidates the cache rather than silently mixing toolchains.
-    """
+    """Digest of the simulation-affecting source tree (memoised)."""
     global _code_salt_memo
     if _code_salt_memo is None:
-        import numpy
         package_root = pathlib.Path(__file__).resolve().parents[1]
         digest = hashlib.sha256()
-        digest.update(f"numpy=={numpy.__version__}".encode())
         for relative in salted_paths():
             source = package_root / relative
             digest.update(relative.encode())

@@ -109,8 +109,7 @@ def _show_command(db, experiment_id: str) -> int:
                   else "STALE (resume refused; run 'exp gc')")
     print(f"code salt:  {record['code_salt']} ({salt_state})")
     print(f"machine:    {grid['gpu']['num_sms']} SMs, "
-          f"{grid['gpu']['num_mcs']} MCs, engine core "
-          f"{grid['gpu']['engine_core']}")
+          f"{grid['gpu']['num_mcs']} MCs")
     if grid.get("kind") == SERVE_GRID_KIND:
         horizons = sorted({spec["horizon_cycles"] for spec in grid["specs"]})
         print(f"horizon:    {', '.join(map(str, horizons))} cycles, "

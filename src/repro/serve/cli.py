@@ -20,8 +20,6 @@ import argparse
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from repro.config import ENGINE_CORES
-
 #: Default two-class workload: a latency-sensitive compute kernel and a
 #: throughput-oriented memory kernel — the canonical serving mix.  Grids
 #: are small (4 TBs) so requests actually drain within a preset's horizon
@@ -78,9 +76,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", default="fast",
                         choices=("fast", "paper", "smoke"),
                         help="machine/scale preset (default: fast)")
-    parser.add_argument("--engine-core", default=None, choices=ENGINE_CORES,
-                        help="override the preset's simulation core "
-                             "(default: the preset's engine_core)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the persistent case cache")
     parser.add_argument("-o", "--output", default=None,
@@ -104,14 +99,12 @@ def _spec_params(args) -> List[Tuple[str, float]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.cli import _apply_engine_core
     from repro.harness.presets import experiment_preset
     from repro.serve.metrics import write_request_trace
     from repro.serve.runner import ServeRunner, ServeSpec
 
     args = build_serve_parser().parse_args(argv)
-    preset = _apply_engine_core(experiment_preset(args.preset),
-                                args.engine_core)
+    preset = experiment_preset(args.preset)
     horizon = args.horizon if args.horizon else preset.cycles
     classes = tuple(args.classes) if args.classes else DEFAULT_CLASSES
     spec = ServeSpec(
@@ -134,8 +127,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (KeyError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    meta = {"spec": spec.payload(), "preset": args.preset,
-            "engine_core": preset.gpu.engine_core}
+    meta = {"spec": spec.payload(), "preset": args.preset}
     if args.output:
         with open(args.output, "w") as stream:
             count = write_request_trace(stream, outcome.records, meta=meta)

@@ -7,8 +7,8 @@ admitted request becomes a finite-grid :class:`~repro.sim.engine.
 LaunchedKernel` injected via ``GPUSimulator.launch_at`` and observed back
 out through the engine's ``on_kernel_retired`` callback.  Launch/retire
 processing happens at fixed loop-top points inside the engine, so a served
-workload replays record-identically on the event and batch cores (the
-differential in ``tests/test_event_core.py`` enforces this).
+workload replays record-identically whether or not the run loop skips idle
+cycles (the differential in ``tests/test_event_core.py`` enforces this).
 
 Admission policies:
 

@@ -17,7 +17,7 @@ trace fails loudly instead of decoding into garbage.
 Everything here is pure accounting over integers already produced by the
 deterministic simulator — no floats feed back into results, and the
 percentile definition (nearest-rank) is exact, so summaries are
-byte-reproducible across machines and engine cores.
+byte-reproducible across machines and runs.
 """
 
 from __future__ import annotations

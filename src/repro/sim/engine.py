@@ -108,9 +108,9 @@ class GPUSimulator:
         self._next_tb_id = [0] * self.num_kernels
         # Online-serving state (repro.serve): kernels may join mid-run via
         # launch_at and leave again when a finite grid drains.  A FIFO of
-        # not-yet-activated launches plus a cheap sentinel the run loop,
-        # _skip_idle and the batch probe all check, so both cores process
-        # a launch at exactly the same loop-top point.
+        # not-yet-activated launches plus a cheap sentinel the run loop and
+        # _skip_idle both check, so a launch is processed at the loop top
+        # of its cycle even when the machine was idling towards it.
         self._pending_launches: List[Tuple[int, LaunchedKernel]] = []
         self._next_launch_at = _FOREVER
         self.kernel_active = [True] * self.num_kernels
@@ -129,7 +129,8 @@ class GPUSimulator:
         self.telemetry = telemetry
         # Busy-trajectory counters backing the telemetry sleep-skip fields:
         # (SM, cycle) pairs / whole-GPU cycles with at least one issue.
-        # Derived idle figures are core-independent, unlike raw skip counts.
+        # Derived idle figures match a run that steps every cycle, unlike
+        # raw skip counts.
         self._tel_busy_sm_cycles = 0
         self._tel_busy_gpu_cycles = 0
         self.cycle = 0
@@ -138,8 +139,6 @@ class GPUSimulator:
         self.sample_interval = max(1, config.epoch_length // config.idle_warp_samples)
         self.next_sample_at = self.sample_interval
         self._configured = False
-        # Lazily built window machinery for the batch core (repro.sim.batch).
-        self._batch_state = None
         self._measure_from_cycle = 0
         self._retired_baseline = [0] * self.num_kernels
         self._tbs_baseline = [0] * self.num_kernels
@@ -175,11 +174,10 @@ class GPUSimulator:
         Launches must be registered in non-decreasing cycle order at or
         after the current cycle (the serving dispatcher feeds arrivals in
         time order, so this costs nothing and keeps activation order — and
-        therefore kernel indices — identical across engine cores).  The
-        kernel activates at the top of the first simulated cycle ``>=
-        cycle``: the run loop's idle skip and the batch core's probe horizon
-        both stop there, so both cores see the same machine state at
-        activation.
+        therefore kernel indices — deterministic).  The kernel activates at
+        the top of the first simulated cycle ``>= cycle``: the run loop's
+        idle skip stops there, so the launch sees the same machine state
+        as a run that stepped every cycle.
         """
         if cycle < self.cycle:
             raise ValueError(
@@ -226,8 +224,6 @@ class GPUSimulator:
         self._retired_baseline.append(0)
         self._tbs_baseline.append(0)
         self._memory_baseline.append(dict())
-        if self._batch_state is not None:
-            self._batch_state.add_kernel(self.runtimes[idx])
         # The policy owns residency decisions for the newcomer exactly as it
         # does at setup; the default hook greedily fills every SM.  Target
         # setting dispatches eagerly (``_configured`` is True), and
@@ -265,24 +261,10 @@ class GPUSimulator:
         ``step()`` over its schedulers.  On sample cycles sleep-skipped SMs
         still run idle-warp sampling so the epoch-anchored grid observes
         every SM at every point, and a cycle in which nothing issues jumps
-        straight to the next wake-up.  With ``config.engine_core ==
-        "batch"`` the loop also *probes*, on non-sample cycles, for an
-        edge-free window (:meth:`repro.sim.batch.BatchState.probe`) and,
-        when one opens, advances every SM to its end in bulk; every cycle
-        outside a window runs the scalar path, so both cores produce
-        record-for-record identical results.
+        straight to the next wake-up.
         """
         self.setup()
         end_cycle = self.cycle + num_cycles
-        state = None
-        if self.config.engine_core == "batch":
-            state = self._batch_state
-            if state is None:
-                # Imported here so the event core never pays for (or
-                # requires) numpy; the batch module is still part of the
-                # code salt via the engine's transitive import closure.
-                from repro.sim.batch import BatchState
-                state = self._batch_state = BatchState(self)
         sms = self.sms
         preemption = self.preemption
         sample_interval = self.sample_interval
@@ -305,17 +287,6 @@ class GPUSimulator:
                 # epochs stop seeing `idle_warp_samples` samples each.
                 missed = (cycle - self.next_sample_at) // sample_interval
                 self.next_sample_at += (missed + 1) * sample_interval
-            elif state is not None and cycle >= state.next_probe_at:
-                # Probes never run on sample cycles, and the horizon is
-                # capped at the next grid point, so windows cannot swallow
-                # idle-warp samples.
-                horizon = state.probe(cycle, end_cycle)
-                if horizon - cycle >= state.min_window:
-                    state.window_opened()
-                    state.advance(cycle, horizon)
-                    self.cycle = horizon
-                    continue
-                state.probe_failed(cycle)
             issued = 0
             # The wake hint is re-read at each SM's turn: an event earlier
             # in this same cycle (quota refill, TB dispatch) may have woken

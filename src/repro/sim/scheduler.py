@@ -16,9 +16,6 @@ exhausted."
 Selection is one O(warps) scan of the scheduler's warp list.  The list only
 appends (TB dispatch) and removes (TB completion or eviction), so its order
 is insertion order: GTO's "oldest" order and LRR's rotation order.
-``Warp.pos`` mirrors each warp's index for O(1) removal and for the batch
-core's LRR replay (:mod:`repro.sim.batch`).  Both engine cores step these
-same classes.
 
 Schedulers keep a ``sleep_until`` cycle: when selection finds nothing ready
 the earliest wake-up among eligible warps is cached so stalled schedulers
@@ -56,20 +53,12 @@ class GTOScheduler:
 
     def add_warp(self, warp: Warp) -> None:
         warp.sched = self
-        warp.pos = len(self.warps)
         self.warps.append(warp)
         self.wake()
 
     def remove_warp(self, warp: Warp) -> None:
-        warps = self.warps
-        index = warp.pos
-        if not (0 <= index < len(warps) and warps[index] is warp):
-            index = warps.index(warp)
-        del warps[index]
-        for i in range(index, len(warps)):
-            warps[i].pos = i
+        self.warps.remove(warp)
         warp.sched = None
-        warp.pos = -1
         if self.last is warp:
             self.last = None
         self.wake()

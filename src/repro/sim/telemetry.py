@@ -18,9 +18,9 @@ paper's Figure 3 loop saw and decided that epoch:
   the epoch during which an SM issued nothing (the opportunity the run
   loop's per-SM sleep skipping exploits) and ``idle_jump_cycles`` the
   whole-GPU zero-issue cycles (the whole-GPU idle jump's opportunity).
-  Both are defined from the issue trajectory — not from which cycles a
-  particular core actually skipped or batched — so records stay
-  byte-identical between ``engine_core="event"`` and ``"batch"``.
+  Both are defined from the issue trajectory — not from which cycles the
+  run loop actually skipped — so records stay byte-identical to a run
+  that steps every SM every cycle.
 
 Recording is strictly observational — the recorder never touches machine
 state, and every value is derived from state the simulator computes

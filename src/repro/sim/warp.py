@@ -34,10 +34,8 @@ class Warp:
         "lcg", "cursor", "last_line",
         # Scheduler bookkeeping: ``sched`` is a back-reference to the owning
         # scheduler (set at add_warp, cleared at remove_warp) so TB removal
-        # is O(1) instead of probing every scheduler; ``pos`` is the warp's
-        # current index in that scheduler's warp list (LRR rotation order,
-        # read by the batch core's LRR replay).
-        "sched", "pos",
+        # never probes every scheduler.
+        "sched",
     )
 
     def __init__(self, kernel_idx: int, tb, warp_id_in_tb: int, seed: int,
@@ -52,7 +50,6 @@ class Warp:
         self.cursor = start_cursor
         self.last_line = start_cursor
         self.sched = None
-        self.pos = -1
 
     def next_random(self) -> int:
         """Advance the per-warp LCG; returns a 32-bit pseudo-random int."""

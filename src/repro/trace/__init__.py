@@ -1,22 +1,16 @@
-"""Epoch-level telemetry: record, serialise, and render policy behaviour.
+"""Epoch-level telemetry: serialise and render policy behaviour.
 
-Two recording paths feed this package:
-
-* :class:`TraceRecorder` wraps any :class:`repro.sim.SharingPolicy` and logs
-  a per-epoch :class:`EpochSample` — per-kernel IPC, resident TBs, remaining
-  quota, and (for QoS policies) alpha and the artificial non-QoS goals —
-  for in-process figure scripts;
-* the engine-emitted :class:`repro.sim.telemetry.EpochRecord` stream, which
-  :func:`write_trace` / :func:`read_trace` round-trip through the JSONL
-  format the ``repro-gpu-qos trace`` subcommand produces.
-
-:func:`render_timeline` turns a trace into an ASCII chart, which is how the
-examples visualise quota throttling and TB reallocation converging.
+The engine emits one :class:`repro.sim.telemetry.EpochRecord` per epoch
+when a :class:`repro.sim.telemetry.TelemetryRecorder` is attached: per-kernel
+IPC, resident TBs, residual quota and, for QoS policies, alpha and the
+artificial non-QoS goals.  :func:`write_trace` / :func:`read_trace`
+round-trip that stream through the JSONL format the ``repro-gpu-qos trace``
+subcommand produces, and :func:`render_timeline` turns it into an ASCII
+chart, which is how the examples visualise quota throttling and TB
+reallocation converging.
 """
 
 from repro.trace.jsonl import read_trace, write_trace
-from repro.trace.recorder import EpochSample, TraceRecorder
 from repro.trace.render import render_timeline, sparkline
 
-__all__ = ["EpochSample", "TraceRecorder", "read_trace", "render_timeline",
-           "sparkline", "write_trace"]
+__all__ = ["read_trace", "render_timeline", "sparkline", "write_trace"]

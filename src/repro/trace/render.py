@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.sim.telemetry import EpochRecord
+
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
@@ -36,24 +38,25 @@ def sparkline(values: Sequence[float], width: Optional[int] = None,
     return "".join(chars)
 
 
-def render_timeline(recorder, kernel_names: Sequence[str],
+def render_timeline(records: Sequence[EpochRecord],
+                    kernel_names: Sequence[str],
                     goals: Optional[Sequence[Optional[float]]] = None,
                     width: int = 60) -> str:
-    """Render a :class:`~repro.trace.TraceRecorder` as per-kernel rows.
+    """Render a stream of :class:`~repro.sim.telemetry.EpochRecord`s as
+    per-kernel rows.
 
     Each kernel gets an IPC sparkline (scaled to its own peak, with its QoS
     goal shown numerically when given) and a TB-residency sparkline scaled
-    to the machine total.
+    to the machine total.  The header spans the epochs' closing cycles.
     """
-    samples = recorder.samples
-    if not samples:
+    if not records:
         return "(empty trace)"
-    lines = [f"epoch trace: {len(samples)} epochs, "
-             f"cycles {samples[0].cycle}..{samples[-1].cycle}"]
+    lines = [f"epoch trace: {len(records)} epochs, "
+             f"cycles {records[0].end_cycle}..{records[-1].end_cycle}"]
     label_width = max(len(name) for name in kernel_names) + 2
     for idx, name in enumerate(kernel_names):
-        ipc = recorder.ipc_series(idx)
-        tbs = recorder.tb_series(idx)
+        ipc = [record.kernels[idx].epoch_ipc for record in records]
+        tbs = [record.kernels[idx].total_tbs for record in records]
         goal = goals[idx] if goals else None
         goal_text = f" goal={goal:.1f}" if goal else ""
         lines.append(f"{name.ljust(label_width)}ipc "

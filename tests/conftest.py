@@ -143,14 +143,13 @@ def _every_sm_every_cycle():
 
 @pytest.fixture
 def scan_oracle():
-    """The reference both engine cores are tested against.
+    """The reference the run loop is tested against.
 
     Returns a context manager that pins ``SM.wake_hint`` to 0.  A simulator
-    run inside it with ``engine_core="event"`` steps every SM every cycle
-    and never jumps idle cycles: a plain per-cycle scan with no sleep
-    skipping and no batch windows.  The run loop's inlined fast path reads
-    ``SM._wake_min`` while the cache is clean, and only the real
-    ``wake_hint`` ever raises that above its initial 0, so pinning the
+    run inside it steps every SM every cycle and never jumps idle cycles:
+    a plain per-cycle scan with no sleep skipping.  The run loop's inlined
+    fast path reads ``SM._wake_min`` while the cache is clean, and only the
+    real ``wake_hint`` ever raises that above its initial 0, so pinning the
     method pins both paths.  Build and run the whole simulator inside::
 
         with scan_oracle():

@@ -636,15 +636,6 @@ class TestSaltCoverage:
                                rule_ids=["SALT001"])
         assert result.findings == []
 
-    def test_shipped_salt_covers_the_batch_core_module(self):
-        # Editing the batch core must invalidate cached case records just
-        # like editing the engine: its results are (by contract) identical
-        # to the event core's, but a bug fix there changes what a cache
-        # entry produced before the fix means.
-        from repro.harness.cache import _SALTED, salted_paths
-        assert "sim" in _SALTED
-        assert "sim/batch.py" in salted_paths()
-
     def test_shipped_salt_covers_the_controllers_package(self):
         # The runner imports repro.controllers (PID/MPC quota control), so
         # controller source must participate in the cache's code salt:

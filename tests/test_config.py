@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import (
-    ENGINE_CORES,
     FAST_GPU,
     GPUConfig,
     LatencyConfig,
@@ -97,14 +96,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             GPUConfig(epoch_length=0)
 
-    def test_rejects_removed_scan_core_naming_accepted_cores(self):
-        with pytest.raises(ValueError) as excinfo:
-            GPUConfig(engine_core="scan")
-        message = str(excinfo.value)
-        assert "'scan'" in message
-        for core in ENGINE_CORES:
-            assert repr(core) in message
-
     def test_scaled_returns_modified_copy(self):
         modified = PAPER_GPU.scaled(num_sms=8)
         assert modified.num_sms == 8
@@ -182,7 +173,7 @@ class TestConfigRoundTrip:
 
         from repro.config import gpu_config_from_dict
 
-        gpu = FAST_GPU.scaled(num_sms=2, engine_core="batch")
+        gpu = FAST_GPU.scaled(num_sms=2)
         assert gpu_config_from_dict(dataclasses.asdict(gpu)) == gpu
 
     def test_unknown_keys_fail_loudly(self):

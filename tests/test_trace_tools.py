@@ -1,12 +1,11 @@
-"""Tests for the epoch trace recorder and ASCII rendering."""
-
-import pytest
+"""Tests for engine telemetry as an epoch trace, and its ASCII rendering."""
 
 from repro.config import GPUConfig, SMConfig
 from repro.kernels.spec import InstructionMix, KernelSpec, MemoryPattern
 from repro.qos import QoSPolicy
-from repro.sim import GPUSimulator, LaunchedKernel, SharingPolicy
-from repro.trace import TraceRecorder, render_timeline, sparkline
+from repro.sim import (GPUSimulator, LaunchedKernel, SharingPolicy,
+                       TelemetryRecorder)
+from repro.trace import render_timeline, sparkline
 
 
 def spec(name):
@@ -18,50 +17,46 @@ def spec(name):
 
 
 def traced_run(policy, cycles=3000):
+    """The completed epochs' records (no trailing partial epoch)."""
     gpu = GPUConfig(num_sms=2, num_mcs=1, epoch_length=400,
                     idle_warp_samples=8, sm=SMConfig(warp_schedulers=2))
-    recorder = TraceRecorder(policy)
+    recorder = TelemetryRecorder()
     sim = GPUSimulator(gpu, [
         LaunchedKernel(spec("traced-qos"), is_qos=True, ipc_goal=20.0),
         LaunchedKernel(spec("traced-be")),
-    ], recorder)
+    ], policy, telemetry=recorder)
     sim.run(cycles)
-    return recorder, sim
+    return recorder.records, sim
 
 
 class TestRecorder:
     def test_one_sample_per_completed_epoch(self):
-        recorder, sim = traced_run(QoSPolicy("rollover"))
-        assert len(recorder.samples) == sim.epoch_index
+        records, sim = traced_run(QoSPolicy("rollover"))
+        assert len(records) == sim.epoch_index
 
     def test_samples_monotone_in_cycle(self):
-        recorder, _sim = traced_run(QoSPolicy("rollover"))
-        cycles = [sample.cycle for sample in recorder.samples]
+        records, _sim = traced_run(QoSPolicy("rollover"))
+        cycles = [record.end_cycle for record in records]
         assert cycles == sorted(cycles)
 
     def test_ipc_series_positive_for_running_kernel(self):
-        recorder, _sim = traced_run(QoSPolicy("rollover"))
-        assert any(value > 0 for value in recorder.ipc_series(0))
+        records, _sim = traced_run(QoSPolicy("rollover"))
+        assert any(record.kernels[0].epoch_ipc > 0 for record in records)
 
     def test_records_alphas_for_qos_policy(self):
-        recorder, _sim = traced_run(QoSPolicy("rollover"))
-        assert 0 in recorder.samples[-1].alphas
-        assert recorder.samples[-1].nonqos_goals.get(1) is not None
+        records, _sim = traced_run(QoSPolicy("rollover"))
+        qos, nonqos = records[-1].kernels
+        assert qos.alpha is not None
+        assert nonqos.ipc_goal is not None
 
     def test_plain_policy_has_no_alpha(self):
-        recorder, _sim = traced_run(SharingPolicy())
-        assert recorder.samples[-1].alphas == {}
-
-    def test_delegates_uses_quotas(self):
-        assert TraceRecorder(QoSPolicy()).uses_quotas is True
-        assert TraceRecorder(SharingPolicy()).uses_quotas is False
-
-    def test_name_wraps_inner(self):
-        assert "qos-rollover" in TraceRecorder(QoSPolicy("rollover")).name
+        records, _sim = traced_run(SharingPolicy())
+        assert all(kernel.alpha is None for kernel in records[-1].kernels)
 
     def test_quota_remaining_recorded(self):
-        recorder, _sim = traced_run(QoSPolicy("rollover"))
-        assert len(recorder.samples[-1].quota_remaining) == 2
+        records, _sim = traced_run(QoSPolicy("rollover"))
+        assert all(kernel.quota_residual is not None
+                   for kernel in records[-1].kernels)
 
 
 class TestSparkline:
@@ -89,14 +84,14 @@ class TestSparkline:
 
 class TestRenderTimeline:
     def test_renders_all_kernels(self):
-        recorder, _sim = traced_run(QoSPolicy("rollover"))
-        text = render_timeline(recorder, ["alpha-kernel", "beta-kernel"],
+        records, _sim = traced_run(QoSPolicy("rollover"))
+        text = render_timeline(records, ["alpha-kernel", "beta-kernel"],
                                goals=[20.0, None])
         assert "alpha-kernel" in text
         assert "beta-kernel" in text
         assert "goal=20.0" in text
         assert "tbs" in text
+        assert f"{len(records)} epochs" in text
 
     def test_empty_trace(self):
-        recorder = TraceRecorder(SharingPolicy())
-        assert render_timeline(recorder, []) == "(empty trace)"
+        assert render_timeline([], []) == "(empty trace)"
