@@ -4,15 +4,13 @@ The reproduction's credibility rests on invariants that used to be enforced
 only dynamically and piecemeal: bit-identical results across idle skipping
 and serial/parallel runners, policies that never poke the engine, a
 content-hash cache whose code salt covers every result-affecting module,
-and a telemetry schema the JSONL exporter can always round-trip.  This
-package checks those properties statically over the whole tree:
+and telemetry export that never changes a result.  This package checks
+those properties statically over the whole tree:
 
 * :mod:`repro.analysis.core` — the framework: findings, rules, modules,
   the registry, ``# repro: noqa=RULE`` suppressions;
 * :mod:`repro.analysis.rules` — the built-in rule catalog (determinism,
-  layering contracts, cache-salt coverage, telemetry-schema sync);
-* :mod:`repro.analysis.baseline` — grandfathered findings that
-  ``--strict`` tolerates;
+  flow taint, effect contracts, layering contracts, cache-salt coverage);
 * :mod:`repro.analysis.driver` — :func:`analyze_paths` /
   :func:`check_source`, the programmatic entry points;
 * :mod:`repro.analysis.cli` — the ``repro lint`` subcommand.

@@ -3,17 +3,15 @@
 Examples::
 
     repro-gpu-qos lint                       # lint src/ + examples/
-    repro-gpu-qos lint --strict              # CI mode: exit 1 on new findings
+    repro-gpu-qos lint --strict              # CI mode: exit 1 on any finding
     repro-gpu-qos lint --rule DET003 src     # one rule, explicit paths
     repro-gpu-qos lint --format json         # machine-readable report
     repro-gpu-qos lint --list-rules          # the rule catalog
-    repro-gpu-qos lint --write-baseline      # grandfather current findings
     repro-lint --strict                      # dedicated console entry
 
-Exit codes: 0 clean (or findings without ``--strict``), 1 new findings
-under ``--strict``, 2 usage errors.  Findings on a baseline entry (see
-``--baseline``) or on a line with ``# repro: noqa=RULE`` never fail the
-run.
+Exit codes: 0 clean (or findings without ``--strict``), 1 findings under
+``--strict``, 2 usage errors.  Findings on a line with
+``# repro: noqa=RULE`` never fail the run.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import pathlib
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.core import all_rules
 from repro.analysis.driver import analyze_paths, select_rules
 
@@ -45,25 +42,17 @@ def build_lint_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gpu-qos lint",
         description="Statically check the reproduction's determinism, "
-                    "layering, cache-salt and telemetry-schema invariants")
+                    "flow, effect, layering and cache-salt invariants")
     parser.add_argument(
         "paths", nargs="*", type=pathlib.Path,
         help="files or directories to lint (default: src/ and examples/ "
              "under the current directory)")
     parser.add_argument(
         "--strict", action="store_true",
-        help="exit 1 when any non-baselined, non-suppressed finding remains")
+        help="exit 1 when any non-suppressed finding remains")
     parser.add_argument(
         "--rule", action="append", dest="rules", metavar="ID", default=None,
         help="run only this rule (repeatable)")
-    parser.add_argument(
-        "--baseline", type=pathlib.Path, default=None,
-        help="baseline file of grandfathered findings (default: "
-             f"{baseline_mod.DEFAULT_BASELINE_NAME} in the current "
-             "directory, when present)")
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline file from the current findings and exit 0")
     parser.add_argument(
         "--format", choices=("human", "json"), default="human",
         help="report format (default: human)")
@@ -129,82 +118,41 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               + ", ".join(str(path) for path in missing), file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline
-    if baseline_path is None:
-        candidate = cwd / baseline_mod.DEFAULT_BASELINE_NAME
-        baseline_path = candidate if candidate.exists() else None
-    elif not baseline_path.exists() and not args.write_baseline:
-        print(f"error: baseline file {baseline_path} does not exist "
-              "(use --write-baseline to create it)", file=sys.stderr)
-        return 2
-
     result = analyze_paths(paths, root=cwd,
                            rule_ids=[rule.id for rule in rules],
                            flow_cache=args.flow_cache)
-
-    if args.write_baseline:
-        target = baseline_path or cwd / baseline_mod.DEFAULT_BASELINE_NAME
-        count = baseline_mod.write_baseline(target, result.findings)
-        print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-              f"to {target}", file=sys.stderr)
-        return 0
-
-    entries: List[dict] = []
-    if baseline_path is not None:
-        try:
-            entries = baseline_mod.load_baseline(baseline_path)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    fingerprints = baseline_mod.baseline_fingerprints(entries)
-    new, baselined = baseline_mod.split_by_baseline(result.findings,
-                                                    fingerprints)
-    stale = baseline_mod.unused_entries(entries, result.findings)
+    findings = result.findings
 
     if args.format == "json":
         print(json.dumps({
             "findings": [
                 {"rule": finding.rule, "severity": finding.severity,
                  "path": finding.path, "line": finding.line,
-                 "message": finding.message, "baselined": False}
-                for finding in new
-            ] + [
-                {"rule": finding.rule, "severity": finding.severity,
-                 "path": finding.path, "line": finding.line,
-                 "message": finding.message, "baselined": True}
-                for finding in baselined
+                 "message": finding.message}
+                for finding in findings
             ],
             "counts": {
-                "new": len(new),
-                "baselined": len(baselined),
+                "new": len(findings),
                 "suppressed": len(result.suppressed),
-                "stale_baseline_entries": len(stale),
                 "modules": len(result.modules),
             },
             "flow_cache": result.flow_stats,
             "strict": bool(args.strict),
         }, indent=2, sort_keys=True))
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.format())
-        for finding in baselined:
-            print(f"{finding.format()}  (baselined)")
-        summary = (f"{len(new)} finding{'s' if len(new) != 1 else ''} "
-                   f"({len(baselined)} baselined, "
-                   f"{len(result.suppressed)} noqa-suppressed) across "
+        plural = "s" if len(findings) != 1 else ""
+        summary = (f"{len(findings)} finding{plural} "
+                   f"({len(result.suppressed)} noqa-suppressed) across "
                    f"{len(result.modules)} modules")
         if result.flow_stats is not None:
             summary += (f"; flow summaries: "
                         f"{result.flow_stats['computed']} computed, "
                         f"{result.flow_stats['cached']} cached")
         print(summary, file=sys.stderr)
-        if stale:
-            print(f"note: {len(stale)} baseline entr"
-                  f"{'y is' if len(stale) == 1 else 'ies are'} no longer "
-                  "matched by any finding; regenerate with --write-baseline",
-                  file=sys.stderr)
 
-    if args.strict and new:
+    if args.strict and findings:
         return 1
     return 0
 

@@ -30,8 +30,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Severity labels.  ``ERROR`` findings are invariant violations; ``WARNING``
 #: findings are hazards that may be legitimate but deserve a look (both fail
-#: ``--strict`` unless suppressed or baselined — severity is a label for the
-#: reader, not an exit-code class).
+#: ``--strict`` unless suppressed — severity is a label for the reader, not
+#: an exit-code class).
 ERROR = "error"
 WARNING = "warning"
 
@@ -44,21 +44,13 @@ _NOQA_RE = re.compile(
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint finding, anchored to a file and line.
-
-    ``fingerprint`` (rule, path, message) deliberately excludes the line
-    number so baseline entries survive unrelated edits that shift code.
-    """
+    """One lint finding, anchored to a file and line."""
 
     rule: str
     severity: str
     path: str
     line: int
     message: str
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.message)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} [{self.severity}] {self.message}"
@@ -70,7 +62,7 @@ class ModuleInfo:
     def __init__(self, path: pathlib.Path, display: str, source: str,
                  tree: ast.Module, name: str):
         self.path = path
-        #: Root-relative posix path used in findings and baselines.
+        #: Root-relative posix path used in findings.
         self.display = display
         self.source = source
         self.tree = tree

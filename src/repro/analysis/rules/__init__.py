@@ -26,7 +26,6 @@ LAY002    error      no attribute assignment into a ``PolicyContext``
 LAY003    error      no underscore-private access on a ``PolicyContext``
 SALT001   error      cache code salt covers every result-affecting module
 SALT002   warning    no stale entries in the cache code salt
-SCHEMA001 error      telemetry dataclasses match the JSONL validation tables
 ========  =========  ==========================================================
 """
 
@@ -34,7 +33,7 @@ SCHEMA001 error      telemetry dataclasses match the JSONL validation tables
 # tables and the EFFECT rules reuse layering's seam helpers, so those
 # two modules must initialise before flowrules/effects.
 from repro.analysis.rules import determinism, layering  # noqa: F401
-from repro.analysis.rules import effects, flowrules, saltcov, schema
+from repro.analysis.rules import effects, flowrules, saltcov
 from repro.analysis.rules.effects import POLICY_CONTEXT_ACTUATORS
 from repro.analysis.rules.layering import (
     IMPORT_CONTRACTS,
@@ -54,5 +53,4 @@ __all__ = [
     "flowrules",
     "layering",
     "saltcov",
-    "schema",
 ]

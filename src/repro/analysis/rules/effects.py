@@ -6,10 +6,10 @@ effect summary: which parameters (or globals) it mutates, whether it
 performs IO, transitively through project calls.  These rules pin the
 seams the repo's PRs deliberately built:
 
-* ``EFFECT001`` — telemetry export paths (``repro.sim.telemetry``,
-  ``repro.trace.jsonl``/``render``) accumulate into *themselves* and
-  write to their streams, but never mutate engine state handed to them:
-  observability must stay observationally free.
+* ``EFFECT001`` — telemetry export paths (``repro.sim.records``,
+  ``repro.sim.telemetry``, ``repro.trace.jsonl``/``render``) accumulate
+  into *themselves* and write to their streams, but never mutate engine
+  state handed to them: observability must stay observationally free.
 * ``EFFECT002`` — ``PolicyContext`` observation methods are
   side-effect-free; only the declared actuation methods may mutate.
   The seam's whole point (PR 3) is that policies cannot perturb the
@@ -46,7 +46,8 @@ POLICY_CONTEXT_ACTUATORS = frozenset({
 
 #: Telemetry/trace export modules governed by EFFECT001.
 TELEMETRY_EXPORT_MODULES = (
-    "repro.sim.telemetry", "repro.trace.jsonl", "repro.trace.render",
+    "repro.sim.records", "repro.sim.telemetry", "repro.trace.jsonl",
+    "repro.trace.render",
 )
 
 
@@ -72,11 +73,11 @@ class TelemetryExportEffectRule(Rule):
 PR 3's telemetry is *observationally free*: enabling a recorder or
 exporting a trace must not change a single simulation record.  The
 exporter modules therefore get an inferred-effect contract: a function
-in repro.sim.telemetry / repro.trace.jsonl / repro.trace.render may
-mutate its own object (``self``) and perform IO (that is its job), but
-may not mutate any other parameter or module-global state — a recorder
-that pokes the engine object it was handed would make telemetry
-participation change results.
+in repro.sim.records / repro.sim.telemetry / repro.trace.jsonl /
+repro.trace.render may mutate its own object (``self``) and perform IO
+(that is its job), but may not mutate any other parameter or
+module-global state — a recorder that pokes the engine object it was
+handed would make telemetry participation change results.
 
 Example finding:
 

@@ -8,11 +8,15 @@ wait / service / end-to-end latencies, and the summary helpers reduce a
 record stream to the numbers serving papers report: per-class p50/p95/p99
 latency and SLO attainment.
 
-The JSONL export mirrors :mod:`repro.trace.jsonl`: a ``{"kind": "meta"}``
-header carrying ``request_schema_version`` followed by one
-``{"kind": "request"}`` line per record, and the reader validates every
-line strictly (exact field set, exact types) so a stale or hand-mangled
-trace fails loudly instead of decoding into garbage.
+The dataclass is the record schema: :data:`REQUEST_SCHEMA`
+(:class:`repro.sim.records.RecordSchema`) derives the dict codec and the
+strict check from its fields and type hints.  The JSONL export is the
+codec epoch traces use (:func:`repro.sim.records.write_jsonl` /
+:func:`~repro.sim.records.read_jsonl`): a ``{"kind": "meta"}`` header
+carrying ``request_schema_version`` followed by one ``{"kind": "request"}``
+line per record, and the reader validates every line strictly (exact field
+set, exact types) so a stale or hand-mangled trace fails loudly instead of
+decoding into garbage.
 
 Everything here is pure accounting over integers already produced by the
 deterministic simulator — no floats feed back into results, and the
@@ -22,9 +26,10 @@ byte-reproducible across machines and runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.sim.records import RecordSchema, read_jsonl, write_jsonl
 
 #: Bump when the request-record field set changes; readers reject other
 #: versions.
@@ -60,62 +65,26 @@ class RequestRecord:
     slo_met: bool
 
 
-_INT_FIELDS = ("request_id", "arrival_cycle", "slo_cycles", "grid_tbs")
-_OPT_INT_FIELDS = ("start_cycle", "finish_cycle", "queue_wait_cycles",
-                   "service_cycles", "latency_cycles")
-_STR_FIELDS = ("request_class", "kernel")
-_BOOL_FIELDS = ("admitted", "completed", "slo_met")
-_ALL_FIELDS = (_INT_FIELDS + _OPT_INT_FIELDS + _STR_FIELDS + _BOOL_FIELDS
-               + ("reject_reason",))
+#: The strict check and dict codec, derived from :class:`RequestRecord`.
+REQUEST_SCHEMA = RecordSchema(RequestRecord)
 
 
 def request_record_to_dict(record: RequestRecord) -> dict:
-    return {field: getattr(record, field) for field in _ALL_FIELDS}
+    return REQUEST_SCHEMA.to_dict(record)
 
 
 def request_record_from_dict(payload: Mapping) -> RequestRecord:
     validate_request_dict(payload)
-    return RequestRecord(**{field: payload[field] for field in _ALL_FIELDS})
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return REQUEST_SCHEMA.from_dict(payload)
 
 
 def validate_request_dict(payload: Mapping) -> None:
     """Strict schema check: exact field set, exact types.
 
-    Raises ``ValueError`` with the first offending field, mirroring
-    :func:`repro.sim.telemetry.validate_epoch_dict`.
+    Raises ``ValueError`` naming the first offending field, as
+    :func:`repro.sim.telemetry.validate_epoch_dict` does.
     """
-    expected = set(_ALL_FIELDS)
-    actual = set(payload.keys())
-    if actual != expected:
-        missing = sorted(expected - actual)
-        extra = sorted(actual - expected)
-        raise ValueError(
-            f"request record fields mismatch: missing={missing} extra={extra}")
-    for field in _INT_FIELDS:
-        if not _is_int(payload[field]):
-            raise ValueError(f"request field {field} must be an int, "
-                             f"got {payload[field]!r}")
-    for field in _OPT_INT_FIELDS:
-        value = payload[field]
-        if value is not None and not _is_int(value):
-            raise ValueError(f"request field {field} must be an int or None, "
-                             f"got {value!r}")
-    for field in _STR_FIELDS:
-        if not isinstance(payload[field], str):
-            raise ValueError(f"request field {field} must be a str, "
-                             f"got {payload[field]!r}")
-    for field in _BOOL_FIELDS:
-        if not isinstance(payload[field], bool):
-            raise ValueError(f"request field {field} must be a bool, "
-                             f"got {payload[field]!r}")
-    reason = payload["reject_reason"]
-    if reason is not None and not isinstance(reason, str):
-        raise ValueError(f"request field reject_reason must be a str or "
-                         f"None, got {reason!r}")
+    REQUEST_SCHEMA.check(payload)
 
 
 # ------------------------------------------------------------------ summaries
@@ -203,57 +172,13 @@ def latency_cdf(records: Sequence[RequestRecord],
 def write_request_trace(stream: IO[str], records: Iterable[RequestRecord],
                         meta: Optional[Mapping] = None) -> int:
     """Write a meta line plus one line per request record; returns count."""
-    header = {"kind": "meta",
-              "request_schema_version": REQUEST_SCHEMA_VERSION}
-    if meta:
-        header.update(meta)
-        header["kind"] = "meta"  # provenance must not smuggle a kind
-        header["request_schema_version"] = REQUEST_SCHEMA_VERSION
-    stream.write(json.dumps(header, sort_keys=True) + "\n")
-    count = 0
-    for record in records:
-        payload = request_record_to_dict(record)
-        payload["kind"] = "request"
-        stream.write(json.dumps(payload, sort_keys=True) + "\n")
-        count += 1
-    return count
+    return write_jsonl(stream, REQUEST_SCHEMA, records, meta, kind="request",
+                       version_key="request_schema_version",
+                       version=REQUEST_SCHEMA_VERSION)
 
 
 def read_request_trace(stream: IO[str]) -> Tuple[dict, List[RequestRecord]]:
     """Parse and strictly validate a request trace: ``(meta, records)``."""
-    meta: Optional[dict] = None
-    records: List[RequestRecord] = []
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except ValueError as error:
-            raise ValueError(f"request trace line {line_no}: not JSON "
-                             f"({error})")
-        kind = payload.get("kind") if isinstance(payload, dict) else None
-        if meta is None:
-            if kind != "meta":
-                raise ValueError(
-                    f"request trace line {line_no}: expected a meta header "
-                    f"line, got kind={kind!r}")
-            version = payload.get("request_schema_version")
-            if version != REQUEST_SCHEMA_VERSION:
-                raise ValueError(
-                    f"request trace schema version {version!r} does not "
-                    f"match expected {REQUEST_SCHEMA_VERSION}")
-            meta = payload
-            continue
-        if kind != "request":
-            raise ValueError(
-                f"request trace line {line_no}: unknown kind {kind!r}")
-        body = {key: value for key, value in payload.items()
-                if key != "kind"}
-        try:
-            records.append(request_record_from_dict(body))
-        except ValueError as error:
-            raise ValueError(f"request trace line {line_no}: {error}")
-    if meta is None:
-        raise ValueError("request trace is empty: no meta header line")
-    return meta, records
+    return read_jsonl(stream, REQUEST_SCHEMA, kind="request",
+                      version_key="request_schema_version",
+                      version=REQUEST_SCHEMA_VERSION, label="request trace")

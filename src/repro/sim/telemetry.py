@@ -24,18 +24,23 @@ paper's Figure 3 loop saw and decided that epoch:
 
 Recording is strictly observational — the recorder never touches machine
 state, and every value is derived from state the simulator computes
-anyway — so results with telemetry on and off are record-identical.  The
-module also owns the dict round-trip (:func:`epoch_record_to_dict` /
-:func:`epoch_record_from_dict`) and the strict schema check
-(:func:`validate_epoch_dict`) used by the case cache and the JSONL trace
-exporter.
+anyway — so results with telemetry on and off are record-identical.
+
+The dataclasses are the record schema.  :data:`EPOCH_SCHEMA`
+(:class:`repro.sim.records.RecordSchema`) derives the dict round-trip
+(:func:`epoch_record_to_dict` / :func:`epoch_record_from_dict`) and the
+strict check (:func:`validate_epoch_dict`) from their fields and type
+hints; the case cache and the JSONL trace format
+(:mod:`repro.trace.jsonl`) use them, so a new field is checked and
+exported with no table to edit.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.sim.records import RecordSchema
 
 SCHEMA_VERSION = 1
 
@@ -171,88 +176,23 @@ class TelemetryRecorder:
         return record
 
 
-# --------------------------------------------------------------- dict codec
+# ------------------------------------------------------- schema and codec
+
+#: The strict check and dict codec, derived from the dataclasses above.
+EPOCH_SCHEMA = RecordSchema(EpochRecord)
+
 
 def epoch_record_to_dict(record: EpochRecord) -> Dict[str, Any]:
     """JSON-ready plain-dict form of an :class:`EpochRecord`."""
-    return dataclasses.asdict(record)
+    return EPOCH_SCHEMA.to_dict(record)
 
 
 def epoch_record_from_dict(payload: Mapping[str, Any]) -> EpochRecord:
     """Inverse of :func:`epoch_record_to_dict`."""
-    kernels = tuple(KernelEpochRecord(**dict(entry))
-                    for entry in payload["kernels"])
-    tb_moves = tuple(TBMove(**dict(entry)) for entry in payload["tb_moves"])
-    fields = {key: payload[key] for key in (
-        "epoch_index", "start_cycle", "end_cycle",
-        "sleep_skipped_sm_cycles", "idle_jump_cycles",
-        "pending_preemptions")}
-    return EpochRecord(kernels=kernels, tb_moves=tb_moves, **fields)
-
-
-# ----------------------------------------------------------- schema checks
-
-_EPOCH_INT_FIELDS = ("epoch_index", "start_cycle", "end_cycle",
-                     "sleep_skipped_sm_cycles", "idle_jump_cycles",
-                     "pending_preemptions")
-_KERNEL_INT_FIELDS = ("retired", "total_tbs")
-_KERNEL_FLOAT_FIELDS = ("epoch_ipc", "cumulative_ipc")
-_KERNEL_OPT_FIELDS = ("quota_granted", "quota_carried", "quota_residual",
-                      "alpha", "ipc_goal", "ctrl_error", "ctrl_integral",
-                      "ctrl_prediction")
-_TB_MOVE_FIELDS = ("cycle", "sm_id", "kernel_idx", "drain_cycles")
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    return EPOCH_SCHEMA.from_dict(payload)
 
 
 def validate_epoch_dict(payload: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` unless ``payload`` matches the
     :class:`EpochRecord` schema exactly (field set and field types)."""
-    expected = {field.name for field in dataclasses.fields(EpochRecord)}
-    got = set(payload)
-    if got != expected:
-        raise ValueError(
-            f"epoch record fields mismatch: missing={sorted(expected - got)} "
-            f"unexpected={sorted(got - expected)}")
-    for key in _EPOCH_INT_FIELDS:
-        if not _is_int(payload[key]):
-            raise ValueError(f"epoch field {key!r} must be an int, "
-                             f"got {payload[key]!r}")
-    if not isinstance(payload["kernels"], (list, tuple)):
-        raise ValueError("epoch field 'kernels' must be a list")
-    kernel_expected = {field.name
-                       for field in dataclasses.fields(KernelEpochRecord)}
-    for entry in payload["kernels"]:
-        if set(entry) != kernel_expected:
-            raise ValueError(
-                f"kernel record fields mismatch: got {sorted(entry)}")
-        if not isinstance(entry["name"], str):
-            raise ValueError("kernel field 'name' must be a string")
-        for key in _KERNEL_INT_FIELDS:
-            if not _is_int(entry[key]):
-                raise ValueError(f"kernel field {key!r} must be an int, "
-                                 f"got {entry[key]!r}")
-        for key in _KERNEL_FLOAT_FIELDS:
-            if not _is_number(entry[key]):
-                raise ValueError(f"kernel field {key!r} must be a number, "
-                                 f"got {entry[key]!r}")
-        for key in _KERNEL_OPT_FIELDS:
-            if entry[key] is not None and not _is_number(entry[key]):
-                raise ValueError(f"kernel field {key!r} must be a number "
-                                 f"or null, got {entry[key]!r}")
-    if not isinstance(payload["tb_moves"], (list, tuple)):
-        raise ValueError("epoch field 'tb_moves' must be a list")
-    for entry in payload["tb_moves"]:
-        if set(entry) != set(_TB_MOVE_FIELDS):
-            raise ValueError(
-                f"tb move fields mismatch: got {sorted(entry)}")
-        for key in _TB_MOVE_FIELDS:
-            if not _is_int(entry[key]):
-                raise ValueError(f"tb move field {key!r} must be an int, "
-                                 f"got {entry[key]!r}")
+    EPOCH_SCHEMA.check(payload)

@@ -7,10 +7,13 @@ policy, preset...), followed by one ``{"kind": "epoch", ...}`` line per
 is append-friendly, greppable, and loads line-by-line, so multi-million-
 cycle traces never need to fit in memory at once.
 
-:func:`read_trace` is strict: every epoch line is checked against the
-record schema (:func:`repro.sim.telemetry.validate_epoch_dict`) and the
-meta line's ``schema_version`` must match :data:`SCHEMA_VERSION`, so a
-stale trace fails loudly instead of decoding into garbage.
+The reader and writer are :func:`repro.sim.records.read_jsonl` /
+:func:`~repro.sim.records.write_jsonl`, the codec the serving layer's
+request traces use too.  :func:`read_trace` is strict: every epoch line is
+checked against the record schema, which is the dataclass itself
+(:data:`repro.sim.telemetry.EPOCH_SCHEMA`), and the meta line's
+``schema_version`` must match :data:`SCHEMA_VERSION`, so a stale trace
+fails loudly instead of decoding into garbage.
 
 The ``repro-gpu-qos trace`` subcommand (see :mod:`repro.cli`) runs one
 co-run case with telemetry enabled and writes its stream in this format.
@@ -18,34 +21,17 @@ co-run case with telemetry enabled and writes its stream in this format.
 
 from __future__ import annotations
 
-import json
 from typing import IO, Iterable, List, Mapping, Optional, Tuple
 
-from repro.sim.telemetry import (
-    SCHEMA_VERSION,
-    EpochRecord,
-    epoch_record_from_dict,
-    epoch_record_to_dict,
-    validate_epoch_dict,
-)
+from repro.sim.records import read_jsonl, write_jsonl
+from repro.sim.telemetry import EPOCH_SCHEMA, SCHEMA_VERSION, EpochRecord
 
 
 def write_trace(stream: IO[str], records: Iterable[EpochRecord],
                 meta: Optional[Mapping] = None) -> int:
     """Write a meta line plus one line per record; returns the epoch count."""
-    header = {"kind": "meta", "schema_version": SCHEMA_VERSION}
-    if meta:
-        header.update(meta)
-        header["kind"] = "meta"  # provenance must not smuggle a kind
-        header["schema_version"] = SCHEMA_VERSION
-    stream.write(json.dumps(header, sort_keys=True) + "\n")
-    count = 0
-    for record in records:
-        payload = epoch_record_to_dict(record)
-        payload["kind"] = "epoch"
-        stream.write(json.dumps(payload, sort_keys=True) + "\n")
-        count += 1
-    return count
+    return write_jsonl(stream, EPOCH_SCHEMA, records, meta, kind="epoch",
+                       version_key="schema_version", version=SCHEMA_VERSION)
 
 
 def read_trace(stream: IO[str]) -> Tuple[dict, List[EpochRecord]]:
@@ -54,37 +40,6 @@ def read_trace(stream: IO[str]) -> Tuple[dict, List[EpochRecord]]:
     Raises ``ValueError`` on a missing/mismatched meta line, an unknown
     ``kind``, or any epoch line that fails the schema check.
     """
-    meta: Optional[dict] = None
-    records: List[EpochRecord] = []
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except ValueError as error:
-            raise ValueError(f"trace line {line_no}: not JSON ({error})")
-        kind = payload.get("kind") if isinstance(payload, dict) else None
-        if meta is None:
-            if kind != "meta":
-                raise ValueError(
-                    f"trace line {line_no}: expected a meta header line, "
-                    f"got kind={kind!r}")
-            if payload.get("schema_version") != SCHEMA_VERSION:
-                raise ValueError(
-                    f"trace schema version {payload.get('schema_version')!r} "
-                    f"does not match expected {SCHEMA_VERSION}")
-            meta = payload
-            continue
-        if kind != "epoch":
-            raise ValueError(f"trace line {line_no}: unknown kind {kind!r}")
-        epoch = {key: value for key, value in payload.items()
-                 if key != "kind"}
-        try:
-            validate_epoch_dict(epoch)
-        except ValueError as error:
-            raise ValueError(f"trace line {line_no}: {error}")
-        records.append(epoch_record_from_dict(epoch))
-    if meta is None:
-        raise ValueError("trace is empty: no meta header line")
-    return meta, records
+    return read_jsonl(stream, EPOCH_SCHEMA, kind="epoch",
+                      version_key="schema_version", version=SCHEMA_VERSION,
+                      label="trace")

@@ -657,83 +657,6 @@ class TestSaltCoverage:
         assert "harness/expdb.py" in salted_paths()
 
 
-TELEMETRY_TEMPLATE = """
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class TBMove:
-    cycle: int
-    sm_id: int
-
-@dataclass(frozen=True)
-class KernelEpochRecord:
-    name: str
-    retired: int
-    epoch_ipc: float
-    alpha: object
-
-@dataclass(frozen=True)
-class EpochRecord:
-    epoch_index: int
-    kernels: tuple
-    tb_moves: tuple
-
-_EPOCH_INT_FIELDS = ({epoch_ints})
-_KERNEL_INT_FIELDS = ("retired",)
-_KERNEL_FLOAT_FIELDS = ("epoch_ipc",)
-_KERNEL_OPT_FIELDS = ("alpha",)
-_TB_MOVE_FIELDS = {tb_fields}
-"""
-
-
-def telemetry_tree(tmp_path, epoch_ints='"epoch_index",',
-                   tb_fields='("cycle", "sm_id")'):
-    return write_tree(tmp_path, {
-        "src/repro/__init__.py": "",
-        "src/repro/sim/__init__.py": "",
-        "src/repro/sim/telemetry.py": TELEMETRY_TEMPLATE.format(
-            epoch_ints=epoch_ints, tb_fields=tb_fields),
-    })
-
-
-class TestTelemetrySchemaSync:
-    def test_synced_fixture_is_clean(self, tmp_path):
-        root = telemetry_tree(tmp_path)
-        result = analyze_paths([root / "src"], root=root,
-                               rule_ids=["SCHEMA001"])
-        assert result.findings == []
-
-    def test_missing_table_entry_is_flagged(self, tmp_path):
-        # EpochRecord grows a field the validation tables never learned.
-        root = telemetry_tree(tmp_path, epoch_ints='"epoch_index",')
-        telemetry = root / "src/repro/sim/telemetry.py"
-        telemetry.write_text(telemetry.read_text().replace(
-            "epoch_index: int", "epoch_index: int\n    end_cycle: int"))
-        result = analyze_paths([root / "src"], root=root,
-                               rule_ids=["SCHEMA001"])
-        assert rules_of(result.findings) == ["SCHEMA001"]
-        assert "end_cycle" in result.findings[0].message
-
-    def test_orphan_table_entry_is_flagged(self, tmp_path):
-        root = telemetry_tree(tmp_path,
-                              tb_fields='("cycle", "sm_id", "phantom")')
-        result = analyze_paths([root / "src"], root=root,
-                               rule_ids=["SCHEMA001"])
-        assert rules_of(result.findings) == ["SCHEMA001"]
-        assert "phantom" in result.findings[0].message
-
-    def test_exporter_must_import_the_validator(self, tmp_path):
-        root = telemetry_tree(tmp_path)
-        write_tree(root, {
-            "src/repro/trace/__init__.py": "",
-            "src/repro/trace/jsonl.py": "import json\n",
-        })
-        result = analyze_paths([root / "src"], root=root,
-                               rule_ids=["SCHEMA001"])
-        assert rules_of(result.findings) == ["SCHEMA001"]
-        assert "validate_epoch_dict" in result.findings[0].message
-
-
 # ------------------------------------------------------------ driver pieces
 
 class TestDriver:
@@ -773,19 +696,12 @@ class TestShippedTreeIsClean:
         assert result.findings == [], "\n".join(
             finding.format() for finding in result.findings)
 
-    def test_shipped_baseline_is_empty(self):
-        # Every finding in the tree is fixed or inline-justified; the
-        # baseline exists to document the workflow, not to hide debt.
-        from repro.analysis.baseline import load_baseline
-        entries = load_baseline(REPO / ".repro-lint-baseline.json")
-        assert entries == []
-
     def test_every_registered_rule_has_id_and_summary(self):
         from repro.analysis import all_rules
         registry = all_rules()
         assert {"DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
                 "DET007", "DET008", "LAY001", "LAY002", "LAY003", "SALT001",
-                "SALT002", "SCHEMA001"} <= set(registry)
+                "SALT002"} <= set(registry)
         for rule in registry.values():
             assert rule.summary
             assert rule.scope in ("module", "project")

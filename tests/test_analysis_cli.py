@@ -1,4 +1,4 @@
-"""`repro lint` CLI behavior: exit codes, baseline workflow, output formats."""
+"""`repro lint` CLI behavior: exit codes, output formats, explain, dispatch."""
 
 import json
 import pathlib
@@ -57,11 +57,6 @@ class TestExitCodes:
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert lint_main([str(tmp_path / "ghost.py")]) == 2
 
-    def test_missing_baseline_exits_two(self, tmp_path, capsys):
-        target = project(tmp_path, CLEAN)
-        assert lint_main(["--baseline", str(tmp_path / "nope.json"),
-                          str(target)]) == 2
-
     def test_rule_selection_limits_findings(self, tmp_path, capsys):
         target = project(tmp_path)
         # DET003 alone does not see the wall-clock read.
@@ -75,46 +70,6 @@ class TestExitCodes:
         assert "1 noqa-suppressed" in err
 
 
-class TestBaselineWorkflow:
-    def test_write_then_strict_passes_on_old_findings_only(self, tmp_path,
-                                                           capsys):
-        target = project(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(["--baseline", str(baseline), "--write-baseline",
-                          str(target)]) == 0
-        assert baseline.exists()
-
-        # Grandfathered finding: strict stays green.
-        assert lint_main(["--strict", "--baseline", str(baseline),
-                          str(target)]) == 0
-
-        # A *new* finding still fails strict while the old one stays
-        # baselined.
-        target.write_text(DIRTY + "import random\nPICK = random.random()\n")
-        assert lint_main(["--strict", "--baseline", str(baseline),
-                          str(target)]) == 1
-        out = capsys.readouterr().out
-        assert "DET002" in out
-        assert "(baselined)" in out  # the DET001 line is labelled
-
-    def test_stale_entries_are_reported(self, tmp_path, capsys):
-        target = project(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(["--baseline", str(baseline), "--write-baseline",
-                          str(target)]) == 0
-        target.write_text(CLEAN)
-        assert lint_main(["--strict", "--baseline", str(baseline),
-                          str(target)]) == 0
-        err = capsys.readouterr().err
-        assert "no longer matched" in err
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        target = project(tmp_path, CLEAN)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"version": 99, "entries": []}')
-        assert lint_main(["--baseline", str(baseline), str(target)]) == 2
-
-
 class TestOutputFormats:
     def test_json_report(self, tmp_path, capsys):
         target = project(tmp_path)
@@ -125,13 +80,12 @@ class TestOutputFormats:
         (finding,) = payload["findings"]
         assert finding["rule"] == "DET001"
         assert finding["line"] == 2
-        assert not finding["baselined"]
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("DET001", "FLOW001", "FLOAT001", "EFFECT001",
-                        "LAY001", "SALT001", "SCHEMA001"):
+                        "LAY001", "SALT001"):
             assert rule_id in out
 
     def test_summary_reports_flow_cache_split(self, tmp_path, capsys):
@@ -196,7 +150,6 @@ class TestSelfCheck:
         # rules must hold everywhere results or fixtures are produced.
         paths = [str(REPO / "src"), str(REPO / "examples"),
                  str(REPO / "tests"), str(REPO / "benchmarks")]
-        code = repro_main(["lint", "--strict", "--baseline",
-                           str(REPO / ".repro-lint-baseline.json"), *paths])
+        code = repro_main(["lint", "--strict", *paths])
         output = capsys.readouterr()
         assert code == 0, output.out + output.err

@@ -300,6 +300,14 @@ class TestEffectRules:
         assert rules_of(findings) == ["EFFECT001"]
         assert "engine" in findings[0].message
 
+    def test_effect001_covers_the_record_codec(self):
+        findings = check_source(textwrap.dedent("""
+            def check(payload):
+                payload.pop("kind", None)
+            """), rule_ids=["EFFECT001"], name="repro.sim.records")
+        assert rules_of(findings) == ["EFFECT001"]
+        assert "payload" in findings[0].message
+
     def test_effect001_self_accumulation_and_io_are_fine(self):
         findings = check_source(textwrap.dedent("""
             class Recorder:
