@@ -8,15 +8,18 @@ across invocations: an append-only JSON-lines file (default
 ``benchmarks/.cache/cases.jsonl``) keyed by a content hash of everything the
 result depends on:
 
-* the full :class:`~repro.config.GPUConfig` (as a nested dict),
-* kernel names, QoS flags and goal fractions, and the policy name,
-* measured cycles and warm-up cycles,
-* a **code salt**: a digest of the source of every package that affects
-  simulation outcomes (`config`, `isa`, `kernels`, `sim`, `qos`,
-  `baselines`, `controllers`, `sharing`, `power`, `osched`, `serve`, and
-  the harness runner, cache and experiment store — :data:`_SALTED`).
-  Editing any of those files invalidates the whole cache automatically;
-  docs/harness-report edits do not.
+* the **machine digest** (:func:`machine_digest`): a hash of the full
+  :class:`~repro.config.GPUConfig` (as a nested dict) plus a **code
+  salt**, a digest of the source of every package that affects simulation
+  outcomes (`config`, `isa`, `kernels`, `sim`, `qos`, `baselines`,
+  `controllers`, `sharing`, `power`, `osched`, `serve`, and the harness
+  runner, cache and experiment store — :data:`_SALTED`).  Editing any of
+  those files invalidates the whole cache automatically; docs/harness-
+  report edits do not.  The digest is computed once per config object,
+  not once per key;
+* the spec: kernel names, QoS flags and goal fractions, and the policy
+  name, plus measured cycles and warm-up cycles (co-run and isolated
+  runs), or the serving spec payload (served cases).
 
 Opt-out / relocation via the ``REPRO_CACHE`` environment variable: ``0`` /
 ``off`` disables persistence entirely, any other value is used as the cache
@@ -31,7 +34,7 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig
 from repro.harness.runner import CaseRecord, KernelOutcome
@@ -50,6 +53,8 @@ _SALTED = ("config.py", "isa", "kernels", "sim", "qos", "baselines",
            "harness/runner.py", "harness/cache.py", "harness/expdb.py")
 
 _code_salt_memo: Optional[str] = None
+#: ``(gpu, digest)`` of the last machine :func:`machine_digest` hashed.
+_machine_memo: Optional[Tuple[GPUConfig, str]] = None
 
 
 def salted_paths() -> list:
@@ -102,9 +107,27 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def machine_digest(gpu: GPUConfig) -> str:
+    """Digest of the full machine (``asdict(gpu)``) plus the code salt.
+
+    Memoised for the last config object hashed, matched with ``is``.  The
+    configs are frozen, so an object's digest never goes stale, and a runner
+    keys every case on one object, so the single entry hits on every key it
+    computes in a row.  Identity, not equality: ``GPUConfig()`` and
+    ``GPUConfig(core_freq_mhz=1216)`` compare equal but serialise
+    differently (``1216.0`` vs ``1216``), and each keeps its own digest.
+    """
+    global _machine_memo
+    memo = _machine_memo
+    if memo is None or memo[0] is not gpu:
+        memo = _machine_memo = (gpu, _digest(
+            {"gpu": dataclasses.asdict(gpu), "salt": code_salt()}))
+    return memo[1]
+
+
 def _machine_payload(gpu: GPUConfig, cycles: int, warmup: int) -> dict:
-    return {"gpu": dataclasses.asdict(gpu), "cycles": cycles,
-            "warmup": warmup, "salt": code_salt()}
+    return {"machine": machine_digest(gpu), "cycles": cycles,
+            "warmup": warmup}
 
 
 def isolated_key(gpu: GPUConfig, name: str, cycles: int, warmup: int) -> str:
@@ -135,10 +158,10 @@ def case_key(gpu: GPUConfig, names: Sequence[str],
 def serve_key(gpu: GPUConfig, spec_payload: dict) -> str:
     """Content key of one serving case (a :class:`repro.serve.runner.ServeSpec`
     run on one machine).  The spec payload already carries horizon, seed and
-    admission policy; the machine side is the GPU config plus the code salt,
-    so editing any salted source invalidates served results too."""
-    payload = {"gpu": dataclasses.asdict(gpu), "salt": code_salt(),
-               "kind": "serve", "spec": spec_payload}
+    admission policy; the machine side is :func:`machine_digest`, so editing
+    any salted source invalidates served results too."""
+    payload = {"machine": machine_digest(gpu), "kind": "serve",
+               "spec": spec_payload}
     return _digest(payload)
 
 
@@ -146,18 +169,18 @@ def serve_key(gpu: GPUConfig, spec_payload: dict) -> str:
 # The experiment store (:mod:`repro.harness.expdb`) is engine-independent
 # and deals only in plain payloads, so the content-hash identity of a sweep
 # lives here with the other keying logic.  Experiment identity is purely
-# content-derived — machine payload (which embeds the code salt) plus the
-# ordered spec grid — never timestamps (lint rule DET008).
+# content-derived — the full machine, the code salt and the ordered spec
+# grid — never timestamps (lint rule DET008).  Grid payloads keep the
+# machine as a nested dict, not a digest: ``repro exp show|diff|resume``
+# read ``grid["gpu"]`` back.
 
 def sweep_grid_payload(gpu: GPUConfig, cycles: int, warmup: int,
                        telemetry: bool, spec_payloads: Sequence[dict]) -> dict:
     """The full JSON-able description of one sweep: everything needed both
     to identify it (hash) and to rebuild its runner on resume."""
-    payload = _machine_payload(gpu, cycles, warmup)
-    payload["kind"] = "experiment"
-    payload["telemetry"] = bool(telemetry)
-    payload["specs"] = list(spec_payloads)
-    return payload
+    return {"gpu": dataclasses.asdict(gpu), "cycles": cycles,
+            "warmup": warmup, "salt": code_salt(), "kind": "experiment",
+            "telemetry": bool(telemetry), "specs": list(spec_payloads)}
 
 
 #: ``kind`` of a serving sweep's grid payload (co-run grids: ``experiment``).
@@ -209,6 +232,9 @@ class CaseCache:
         self._entries: Dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
+        #: The file ends mid-line (a write killed part-way): the next
+        #: append must start a new line, or it would land on the torn one.
+        self._torn_tail = False
         self._load()
 
     def _load(self) -> None:
@@ -216,6 +242,7 @@ class CaseCache:
             return
         with self.path.open() as stream:
             for line in stream:
+                self._torn_tail = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -230,6 +257,9 @@ class CaseCache:
         self._entries[key] = entry
         self.directory.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as stream:
+            if self._torn_tail:
+                stream.write("\n")
+                self._torn_tail = False
             stream.write(json.dumps(entry, sort_keys=True) + "\n")
 
     # ------------------------------------------------------------- records
@@ -294,6 +324,7 @@ class CaseCache:
         """Drop every entry; returns how many were removed."""
         removed = len(self._entries)
         self._entries.clear()
+        self._torn_tail = False
         if self.path.exists():
             self.path.unlink()
         return removed

@@ -12,7 +12,8 @@ what makes sweeps durable:
 
 * an interrupted figure run resumes where it stopped
   (``repro exp resume <id>`` — done cases are never re-simulated);
-* re-running a completed experiment performs zero new simulations;
+* re-running a completed experiment performs zero new simulations and,
+  after one status read, writes nothing to the store;
 * a committed figure carries provenance (experiment id + spec hash + code
   salt) back to the exact config grid that produced it;
 * multi-process — and, with a shared filesystem, multi-machine — fan-out
@@ -266,6 +267,14 @@ class ExperimentDB:
         return {row["kernel"]: row["ipc"] for row in rows}
 
     # ----------------------------------------------------------- inspection
+
+    def status(self, experiment_id: str) -> Optional[str]:
+        """The experiment's lifecycle state, or None when it is not
+        registered: one primary-key read, no grid decode."""
+        row = self._conn.execute(
+            "SELECT status FROM experiments WHERE id = ?",
+            (experiment_id,)).fetchone()
+        return None if row is None else row["status"]
 
     def experiment(self, experiment_id: str) -> Optional[dict]:
         row = self._conn.execute(

@@ -118,13 +118,16 @@ class RegisteredSweep:
     ``persistent`` distinguishes the shared on-disk store — whose ids are
     worth reporting as provenance and resuming later — from the throwaway
     in-memory store every unregistered sweep still routes through (so the
-    pull-based claim loop is never a special case).
+    pull-based claim loop is never a special case).  ``done`` marks an
+    experiment the persistent store already holds as done: the sweep claims,
+    registers and finishes nothing.
     """
 
     db: object  # ExperimentDB (kept untyped: expdb is imported lazily)
     experiment_id: str
     spec_hash: str
     persistent: bool
+    done: bool
 
 
 @dataclass(frozen=True)
@@ -325,26 +328,36 @@ class SweepRunner:
 
     def _sweep(self, specs: Sequence, register: bool) -> list:
         """Register ``specs`` as an experiment, pull its pending cases, and
-        return every result in input order (see :meth:`CaseRunner.sweep`)."""
+        return every result in input order (see :meth:`CaseRunner.sweep`).
+
+        A warm rerun of an experiment the persistent store already holds as
+        done writes nothing to it: after the status read it only seeds the
+        isolated IPCs the experiment stored (:meth:`_prepare` with no
+        pending case) and returns every result through the memo and cache
+        lookup, which recomputes any result the case cache has lost."""
         specs = list(specs)
         if not specs:
             return []
         sweep_reg = self._register_sweep(specs, register)
-        try:
-            self._pull_pending(sweep_reg)
-        finally:
-            sweep_reg.db.finish(sweep_reg.experiment_id)
-            if not sweep_reg.persistent:
-                sweep_reg.db.close()
+        if sweep_reg.done:
+            self._prepare(sweep_reg, [])
+        else:
+            try:
+                self._pull_pending(sweep_reg)
+            finally:
+                sweep_reg.db.finish(sweep_reg.experiment_id)
+                if not sweep_reg.persistent:
+                    sweep_reg.db.close()
         return [self._run(spec) for spec in specs]
 
     def _register_sweep(self, specs: Sequence,
                         register: bool) -> RegisteredSweep:
         """Register the grid in the experiment store (idempotent: the same
-        grid under the same code always maps to the same experiment id)."""
+        grid under the same code always maps to the same experiment id).
+        An experiment the persistent store holds as done is only read."""
         from repro.harness.cache import (code_salt, experiment_id_for,
                                          experiment_spec_hash)
-        from repro.harness.expdb import ExperimentDB
+        from repro.harness.expdb import DONE, ExperimentDB
 
         payloads = [spec.payload() for spec in specs]
         grid = self._grid(payloads)
@@ -352,15 +365,19 @@ class SweepRunner:
         experiment_id = experiment_id_for(spec_hash)
         persistent = register and self.expdb is not None
         db = self.expdb if persistent else ExperimentDB(":memory:")
-        case_rows = [(payload, self._cache_key(spec))
-                     for spec, payload in zip(specs, payloads)]
-        db.register(experiment_id, spec_hash, code_salt(), grid, case_rows)
+        done = persistent and db.status(experiment_id) == DONE
+        if not done:
+            case_rows = [(payload, self._cache_key(spec))
+                         for spec, payload in zip(specs, payloads)]
+            db.register(experiment_id, spec_hash, code_salt(), grid,
+                        case_rows)
         if persistent:
             self.experiment_log.append((experiment_id, spec_hash))
-        return RegisteredSweep(db, experiment_id, spec_hash, persistent)
+        return RegisteredSweep(db, experiment_id, spec_hash, persistent, done)
 
     def _prepare(self, sweep_reg: RegisteredSweep, pending: list) -> None:
-        """Hook run once per sweep, before any pending case is claimed."""
+        """Hook run once per sweep, before any pending case is claimed; a
+        warm rerun of a done experiment runs it with no pending case."""
 
     def _pull_pending(self, sweep_reg: RegisteredSweep) -> None:
         """Claim and run pending cases until the table is drained: on a
@@ -642,9 +659,9 @@ class CaseRunner(SweepRunner):
     def _prepare(self, sweep_reg: RegisteredSweep,
                  pending: List[CaseSpec]) -> None:
         """Settle every isolated IPC the pending cases divide by — once per
-        sweep, before any case fans out.  Denominators a previous
-        (interrupted) run of this experiment stored are adopted, so resume
-        never re-simulates them even with the case cache disabled; the rest
+        sweep, before any case fans out.  Denominators a previous run of
+        this experiment stored are adopted, so neither a resume nor a warm
+        rerun re-simulates them even with the case cache disabled; the rest
         come from the cache or are simulated, on the pool when there is
         one, and are stored with the experiment."""
         from repro.harness.cache import isolated_key

@@ -1,10 +1,12 @@
 """Tests for the persistent case cache (repro.harness.cache)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import FAST_GPU
 from repro.harness.cache import (CaseCache, case_key, code_salt, isolated_key,
-                                 record_from_dict, record_to_dict)
+                                 record_from_dict, record_to_dict, serve_key)
 from repro.harness.runner import CaseRunner
 
 CYCLES = 4000
@@ -32,6 +34,16 @@ class TestKeying:
         dict(policy="spart"),
         dict(cycles=CYCLES + 1),
         dict(warmup=101),
+        dict(gpu=FAST_GPU.scaled(memory=replace(
+            FAST_GPU.memory, latency=replace(FAST_GPU.memory.latency,
+                                             dram=341)))),
+        dict(gpu=FAST_GPU.scaled(preemption=replace(FAST_GPU.preemption,
+                                                    mode="reset"))),
+        # Equal to FAST_GPU (which keeps the default 1216.0 MHz) but
+        # serialised as 1216, as GPUConfig(core_freq_mhz=1216) is against
+        # GPUConfig(): the machine digest is memoised by identity, never by
+        # equality, so the two keep the distinct keys their dicts give.
+        dict(gpu=FAST_GPU.scaled(core_freq_mhz=1216)),
     ])
     def test_any_component_changes_key(self, override):
         base = dict(gpu=FAST_GPU, names=NAMES, flags=FLAGS, goals=GOALS,
@@ -43,6 +55,17 @@ class TestKeying:
                 != case_key(varied["gpu"], varied["names"], varied["flags"],
                             varied["goals"], varied["policy"], varied["cycles"],
                             varied["warmup"]))
+        if varied["gpu"] is not base["gpu"]:
+            # Isolated and serving keys follow the machine too, and calls
+            # alternating between the two configs never get the other's key.
+            gpus = (base["gpu"], varied["gpu"]) * 2
+            for key in (lambda gpu: case_key(gpu, NAMES, FLAGS, GOALS,
+                                             "rollover", CYCLES, 100),
+                        lambda gpu: isolated_key(gpu, "sgemm", CYCLES, 100),
+                        lambda gpu: serve_key(gpu, {"seed": 0})):
+                first, second, first_again, second_again = map(key, gpus)
+                assert first != second
+                assert (first_again, second_again) == (first, second)
 
     def test_isolated_key_distinct_from_case_key(self):
         assert (isolated_key(FAST_GPU, "sgemm", CYCLES, 100)
@@ -107,6 +130,13 @@ class TestStore:
         reopened = CaseCache(tmp_path)
         assert reopened.get_isolated("k") == 1.0
         assert len(reopened) == 1
+        # The next run's first store starts a new line instead of landing
+        # on the torn one, so it survives another reopen.
+        reopened.put_isolated("k2", 2.0)
+        again = CaseCache(tmp_path)
+        assert again.get_isolated("k2") == 2.0
+        assert again.get_isolated("k") == 1.0
+        assert len(again) == 2
 
 
 class TestRunnerIntegration:

@@ -6,7 +6,8 @@ The load-bearing guarantees under test:
 * an interrupted sweep (fault-injected via ``CaseRunner.fault_after``)
   resumed by a fresh runner produces records byte-identical to an
   uninterrupted run — serial and parallel, telemetry on and off;
-* re-running a completed experiment performs zero new simulations.
+* re-running a completed experiment performs zero new simulations and
+  writes nothing to the store.
 """
 
 import json
@@ -21,6 +22,7 @@ from repro.harness.expdb import (ExperimentDB, default_expdb_path,
                                  expdb_disabled_by_env, open_default_expdb)
 from repro.harness.parallel import ParallelCaseRunner
 from repro.harness.runner import CaseRunner, CaseSpec, SweepInterrupted
+from repro.serve.runner import ServeRunner, ServeSpec
 
 CYCLES = 4000
 
@@ -278,6 +280,71 @@ class TestZeroNewSimulations:
         record = db.experiment(experiment_id)
         assert record["spec_hash"] == spec_hash
         assert record["code_salt"] == code_salt()
+
+
+class TestDoneRerunWritesNothing:
+    """A rerun of a done experiment reads its status and writes nothing:
+    no registration, no stale-case release, no finish."""
+
+    SERVE_SPECS = [ServeSpec(process="poisson",
+                             params=(("mean_interarrival_cycles", load),),
+                             classes=(("rt", "mri-q", 8000, 1, 1.0),),
+                             seed=0, horizon_cycles=6000)
+                   for load in (2500.0, 1500.0)]
+
+    def rerun(self, tmp_path, monkeypatch, make_runner, specs, simulator):
+        """Sweep ``specs`` to done, then rerun them through a fresh runner
+        and store connection with ``simulator`` replaced by :class:`_Bomb`;
+        return both results after checking that the store did not change."""
+        db_path, cache_dir = tmp_path / "exp.sqlite", tmp_path / "cache"
+        first = make_runner(CaseCache(cache_dir), ExperimentDB(db_path))
+        results = first.sweep(specs)
+        experiment_id = first.experiment_log[0][0]
+        before = ExperimentDB(db_path).experiment(experiment_id)
+        assert before["status"] == "done"
+        monkeypatch.setattr(simulator, _Bomb)
+        db = ExperimentDB(db_path)
+        rerun = make_runner(CaseCache(cache_dir), db)
+        rerun_results = rerun.sweep(specs)
+        assert db._conn.total_changes == 0
+        assert db.experiment(experiment_id)["updated_at"] == before["updated_at"]
+        assert rerun.experiment_log == first.experiment_log
+        return results, rerun_results
+
+    def test_case_runner(self, tmp_path, monkeypatch):
+        results, rerun = self.rerun(
+            tmp_path, monkeypatch,
+            lambda cache, db: CaseRunner(FAST_GPU, CYCLES, cache=cache,
+                                         expdb=db),
+            SPECS, "repro.harness.runner.GPUSimulator")
+        assert dump(rerun) == dump(results)
+
+    def test_serve_runner(self, tmp_path, monkeypatch):
+        results, rerun = self.rerun(
+            tmp_path, monkeypatch,
+            lambda cache, db: ServeRunner(FAST_GPU, cache=cache, expdb=db,
+                                          workers=1),
+            self.SERVE_SPECS, "repro.serve.runner.Dispatcher")
+        assert ([outcome.to_value() for outcome in rerun]
+                == [outcome.to_value() for outcome in results])
+
+    def test_isolated_ipcs_come_from_the_store(self, tmp_path, monkeypatch):
+        """With no case cache the co-run cases are recomputed, but the
+        denominators the experiment stored are read, never re-simulated."""
+        db_path = tmp_path / "exp.sqlite"
+        first = CaseRunner(FAST_GPU, CYCLES, expdb=ExperimentDB(db_path))
+        baseline = first.sweep(SPECS[:1])
+
+        def explode(self, name):
+            raise AssertionError(f"re-simulated the isolated run of {name}")
+
+        monkeypatch.setattr(CaseRunner, "_simulate_isolated", explode)
+        db = ExperimentDB(db_path)
+        rerun = CaseRunner(FAST_GPU, CYCLES, expdb=db)
+        assert dump(rerun.sweep(SPECS[:1])) == dump(baseline)
+        for name in SPECS[0].names:
+            assert rerun.isolated_ipc(name) == first.isolated_ipc(name)
+        assert db._conn.total_changes == 0
 
 
 class TestExpCli:
