@@ -86,22 +86,16 @@ class GPUSimulator:
         self.policy = policy if policy is not None else SharingPolicy()
         self.memory = MemorySubsystem(config, self.num_kernels)
         self.runtimes = [
-            KernelRuntime(idx, launch.spec, config.memory.line_size)
+            KernelRuntime(idx, launch.spec, config.memory)
             for idx, launch in enumerate(kernels)
         ]
         self.kernel_stats = [KernelStats() for _ in kernels]
         self.preemption = PreemptionEngine(config.preemption)
         self.sms: List[SM] = [
             SM(sm_id, config, self.runtimes, self.memory, self.kernel_stats,
-               self._on_quota_exhausted, self._on_tb_finished,
-               self._sm_wake_changed)
+               self._on_quota_exhausted, self._on_tb_finished)
             for sm_id in range(config.num_sms)
         ]
-        # GPU-level min over the SMs' wake hints, maintained lazily: any
-        # scheduler sleep-state change bubbles up through the SM's notify
-        # chain and marks it dirty.  ``_skip_idle`` reads the cached value.
-        self._sm_wake_min = 0
-        self._sm_wake_dirty = True
         self.tb_targets: List[List[int]] = [
             [0] * self.num_kernels for _ in range(config.num_sms)
         ]
@@ -209,7 +203,7 @@ class GPUSimulator:
         self.kernels.append(launch)
         self.num_kernels = idx + 1
         self.runtimes.append(
-            KernelRuntime(idx, launch.spec, self.config.memory.line_size))
+            KernelRuntime(idx, launch.spec, self.config.memory))
         self.kernel_stats.append(KernelStats())
         self.memory.add_kernel()
         for sm in self.sms:
@@ -256,12 +250,12 @@ class GPUSimulator:
     def run(self, num_cycles: int) -> None:
         """Advance the machine by ``num_cycles`` cycles.
 
-        Each cycle steps only the SMs whose wake hint has come due: a
-        sleeping SM costs one comparison per cycle instead of a full
-        ``step()`` over its schedulers.  On sample cycles sleep-skipped SMs
-        still run idle-warp sampling so the epoch-anchored grid observes
-        every SM at every point, and a cycle in which nothing issues jumps
-        straight to the next wake-up.
+        Each cycle steps only the SMs whose cached wake-up cycle
+        (``SM._wake_min``) has come due: a sleeping SM costs one comparison
+        per cycle instead of a full ``step()`` over its schedulers.  On
+        sample cycles sleep-skipped SMs still run idle-warp sampling so the
+        epoch-anchored grid observes every SM at every point, and a cycle
+        in which nothing issues jumps straight to the next wake-up.
         """
         self.setup()
         end_cycle = self.cycle + num_cycles
@@ -288,17 +282,13 @@ class GPUSimulator:
                 missed = (cycle - self.next_sample_at) // sample_interval
                 self.next_sample_at += (missed + 1) * sample_interval
             issued = 0
-            # The wake hint is re-read at each SM's turn: an event earlier
+            # The wake-up is re-read at each SM's turn: an event earlier
             # in this same cycle (quota refill, TB dispatch) may have woken
-            # an SM later in the list.  (Inlined wake_hint fast path: this
-            # comparison runs per SM per cycle, so the clean-cache case
-            # avoids a method call.)
+            # an SM later in the list.
             if tel_on:
                 busy = 0
                 for sm in sms:
-                    hint = (sm._wake_min if not sm._wake_dirty
-                            else sm.wake_hint())
-                    if hint <= cycle:
+                    if sm._wake_min <= cycle:
                         n = sm.step(cycle, sample)
                         if n:
                             issued += n
@@ -310,9 +300,7 @@ class GPUSimulator:
                     self._tel_busy_gpu_cycles += 1
             else:
                 for sm in sms:
-                    hint = (sm._wake_min if not sm._wake_dirty
-                            else sm.wake_hint())
-                    if hint <= cycle:
+                    if sm._wake_min <= cycle:
                         issued += sm.step(cycle, sample)
                     elif sample:
                         sm.sample_idle(cycle)
@@ -381,21 +369,6 @@ class GPUSimulator:
                 self._flush_telemetry_epoch(tel, view, self.cycle)
         return tuple(tel.records)
 
-    def _sm_wake_changed(self) -> None:
-        self._sm_wake_dirty = True
-
-    def _min_sm_wake(self) -> int:
-        """Earliest wake hint across all SMs (lazily cached minimum)."""
-        if self._sm_wake_dirty:
-            wake = _FOREVER
-            for sm in self.sms:
-                hint = sm.wake_hint()
-                if hint < wake:
-                    wake = hint
-            self._sm_wake_min = wake
-            self._sm_wake_dirty = False
-        return self._sm_wake_min
-
     def _skip_idle(self, end_cycle: int) -> None:
         """Jump over cycles in which no warp can possibly issue."""
         wake = self.next_epoch_at
@@ -406,9 +379,9 @@ class GPUSimulator:
             wake = self.next_sample_at
         if self._next_launch_at < wake:
             wake = self._next_launch_at
-        sm_wake = self._min_sm_wake()
-        if sm_wake < wake:
-            wake = sm_wake
+        for sm in self.sms:
+            if sm._wake_min < wake:
+                wake = sm._wake_min
         if wake > self.cycle:
             self.cycle = min(wake, end_cycle)
 

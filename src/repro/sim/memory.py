@@ -187,12 +187,13 @@ class MemorySubsystem:
         stats = self.kernel_stats[kernel_idx]
         controllers = self.controllers
         num_mcs = len(controllers)
+        interconnect = lat.interconnect
         completion = now + lat.l1_hit
         for line in lines:
             stats.requests += 1
             if is_write:
                 stats.write_requests += 1
-            elif l1.access(line):
+            elif l1.access_rw(line, False)[0]:
                 stats.l1_hits += 1
                 continue
             # Miss (or store): allocate an MSHR; block on a free one if all
@@ -204,7 +205,7 @@ class MemorySubsystem:
                 departure = heapq.heappop(mshrs)
                 stats.mshr_stalls += 1
             mc = controllers[line % num_mcs]
-            arrival = departure + lat.interconnect
+            arrival = departure + interconnect
             done, hit_l2 = mc.service(line, is_write, arrival,
                                       lat.l2_hit, lat.dram,
                                       lat.dram_row_hit)
@@ -212,7 +213,7 @@ class MemorySubsystem:
                 stats.l2_hits += 1
             else:
                 stats.dram_accesses += 1
-            done += lat.interconnect
+            done += interconnect
             heapq.heappush(mshrs, done)
             if done > completion:
                 completion = done

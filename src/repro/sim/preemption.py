@@ -33,12 +33,16 @@ class PreemptionEngine:
         """Freeze a TB and schedule its resource release; returns done cycle.
 
         In context-reset mode the eviction is free but the TB's partial
-        progress is charged as wasted work (a relaunched TB must redo it).
+        progress is charged as wasted work (a relaunched TB must redo it):
+        each warp's retired lanes, summed over its kernel's decoded program
+        up to its ``pc``.
         """
         tb.freeze()
         cost = self.config.eviction_cycles(tb.spec.context_bytes)
         if self.config.mode == "reset" and self.config.enabled:
-            self.wasted_thread_insts += _partial_progress(tb)
+            runtime = sm.runtimes[tb.kernel_idx]
+            self.wasted_thread_insts += sum(
+                runtime.lanes_before(warp.pc) for warp in tb.warps)
         done = cycle + cost
         self._sequence += 1
         heapq.heappush(self._heap, (done, self._sequence, sm, tb))
@@ -64,17 +68,3 @@ class PreemptionEngine:
         while heap and heap[0][0] <= cycle:
             _done, _seq, sm, tb = heapq.heappop(heap)
             yield sm, tb
-
-
-def _partial_progress(tb: ThreadBlock) -> int:
-    """Estimate the thread instructions a dropped TB had retired.
-
-    Warp program counters times the program's mean active lanes: exact up
-    to divergence placement, with no per-issue accounting cost.
-    """
-    total_pc = sum(warp.pc for warp in tb.warps)
-    if total_pc == 0:
-        return 0
-    # Mean lanes per slot comes from the spec's divergence-aware pattern;
-    # approximate from warps' shared program via the TB's spec.
-    return int(total_pc * 32 * (1.0 - 0.25 * tb.spec.divergence))

@@ -19,14 +19,20 @@ is insertion order: GTO's "oldest" order and LRR's rotation order.
 
 Schedulers keep a ``sleep_until`` cycle: when selection finds nothing ready
 the earliest wake-up among eligible warps is cached so stalled schedulers
-cost one comparison per cycle.  Any event that can create readiness out of
-band — TB dispatch, barrier release, quota refresh, unfreeze — must call
-``wake()``.
+cost one comparison per cycle (``SM.step`` makes it before calling
+``select``).  Any event that can create readiness out of band — TB
+dispatch, barrier release, quota refresh, unfreeze — must call ``wake()``.
 
-Every write to ``sleep_until`` invokes the optional ``notify`` callback so
-the owning SM can maintain a cached minimum over its schedulers (the
-engine's per-SM sleep skipping and idle-skip read that cache instead of
-rescanning every scheduler of every SM each cycle).
+``wake()`` invokes the optional ``notify`` callback when it lowers
+``sleep_until``, so the owning SM can reset its cached wake-up cycle to 0
+(the engine's per-SM sleep skipping and idle jumps read that cache instead
+of rescanning every scheduler of every SM each cycle).  Going to sleep
+notifies nobody: the SM recomputes its wake-up after every step, and a
+stale lower value only costs one extra step.
+
+Both policies scan warps testing ``ready_at`` first: most warps a scan
+passes are stalled, and a stalled warp needs its state and quota checked
+only if it would lower the wake-up cycle.
 """
 
 from __future__ import annotations
@@ -69,11 +75,6 @@ class GTOScheduler:
             if self.notify is not None:
                 self.notify()
 
-    def _sleep(self, until: int) -> None:
-        self.sleep_until = until
-        if self.notify is not None:
-            self.notify()
-
     # ------------------------------------------------------------- selection
 
     def select(self, cycle: int, quota_ok) -> Optional[Warp]:
@@ -86,25 +87,18 @@ class GTOScheduler:
             return last
         earliest = _NEVER
         for warp in self.warps:
-            if warp.state != 0 or not quota_ok[warp.kernel_idx]:
-                continue
-            if warp.ready_at <= cycle:
+            ready_at = warp.ready_at
+            if ready_at > cycle:
+                if (ready_at < earliest and warp.state == 0
+                        and quota_ok[warp.kernel_idx]):
+                    earliest = ready_at
+            elif warp.state == 0 and quota_ok[warp.kernel_idx]:
                 self.last = warp
                 return warp
-            if warp.ready_at < earliest:
-                earliest = warp.ready_at
-        self._sleep(earliest)
+        self.sleep_until = earliest
         return None
 
     # ------------------------------------------------------------ inspection
-
-    def ready_count(self, cycle: int, quota_ok) -> int:
-        """Warps that could issue this cycle (for idle-warp sampling)."""
-        count = 0
-        for warp in self.warps:
-            if warp.state == 0 and warp.ready_at <= cycle and quota_ok[warp.kernel_idx]:
-                count += 1
-        return count
 
     def sample_ready(self, cycle: int, idle_sum: List[int]) -> None:
         """Accumulate per-kernel ready-warp counts, quota-blind (Sec 3.6)."""
@@ -128,21 +122,22 @@ class LRRScheduler(GTOScheduler):
         warps = self.warps
         count = len(warps)
         if count == 0:
-            self._sleep(_NEVER)
+            self.sleep_until = _NEVER
             return None
         earliest = _NEVER
         start = self._next_index % count
         for offset in range(count):
             warp = warps[(start + offset) % count]
-            if warp.state != 0 or not quota_ok[warp.kernel_idx]:
-                continue
-            if warp.ready_at <= cycle:
+            ready_at = warp.ready_at
+            if ready_at > cycle:
+                if (ready_at < earliest and warp.state == 0
+                        and quota_ok[warp.kernel_idx]):
+                    earliest = ready_at
+            elif warp.state == 0 and quota_ok[warp.kernel_idx]:
                 self._next_index = (start + offset + 1) % count
                 self.last = warp
                 return warp
-            if warp.ready_at < earliest:
-                earliest = warp.ready_at
-        self._sleep(earliest)
+        self.sleep_until = earliest
         return None
 
 

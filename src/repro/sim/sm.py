@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.config import GPUConfig
-from repro.sim.kernel_runtime import KernelRuntime
+from repro.sim.kernel_runtime import FIXED, LOAD, STORE, KernelRuntime
 from repro.sim.memory import MemorySubsystem
 from repro.sim.scheduler import make_scheduler
 from repro.sim.stats import KernelStats
@@ -31,8 +31,7 @@ class SM:
                  memory: MemorySubsystem,
                  kernel_stats: List[KernelStats],
                  on_quota_exhausted: Callable,
-                 on_tb_finished: Callable,
-                 wake_listener: Optional[Callable] = None):
+                 on_tb_finished: Callable):
         self.sm_id = sm_id
         self.config = config
         self.runtimes = runtimes
@@ -40,7 +39,7 @@ class SM:
         self.kernel_stats = kernel_stats
         self.resources = SMResources(config.sm)
         self.schedulers = [make_scheduler(config.scheduler_policy,
-                                          self._sleep_changed)
+                                          self._scheduler_woke)
                            for _ in range(config.sm.warp_schedulers)]
         self.tbs: List[ThreadBlock] = []
         num_kernels = len(runtimes)
@@ -49,13 +48,11 @@ class SM:
         #: dispatch / eviction-begin / removal so residency queries are O(1)
         #: instead of a scan over ``tbs``.
         self.live_tb_count = [0] * num_kernels
-        # Cached min over scheduler ``sleep_until``s for the engine's per-SM
-        # sleep skipping and idle-skip; invalidated by the schedulers'
-        # notify callback.  ``wake_listener`` (the engine) is told about
-        # every change so it can keep a GPU-level minimum of the hints.
+        #: Earliest cycle this SM may issue, for the engine's per-SM sleep
+        #: skipping and idle jumps.  ``step`` stores it (0 after an issue,
+        #: else ``wake_hint()``) and any scheduler wake resets it to 0, so
+        #: it never exceeds the schedulers' true minimum ``sleep_until``.
         self._wake_min = 0
-        self._wake_dirty = True
-        self._wake_listener = wake_listener
         # Enhanced Warp Scheduler state.  With quotas disabled the
         # all-True eligibility list makes this SM behave like stock hardware.
         self.quota_enabled = False
@@ -64,82 +61,75 @@ class SM:
         # Idle-warp sampling accumulators (Section 3.6), read by policies.
         self.idle_sum = [0] * num_kernels
         self.idle_samples = 0
-        # Per-epoch retired-instruction counters local to this SM.
-        self.retired_local = [0] * num_kernels
         self.issued_total = 0
         self._on_quota_exhausted = on_quota_exhausted
         self._on_tb_finished = on_tb_finished
-        lat = config.memory.latency
-        self._alu_lat = lat.alu
-        self._sfu_lat = lat.sfu
-        self._lds_lat = lat.shared_mem
 
     # ------------------------------------------------------------------ issue
 
     def step(self, cycle: int, sample: bool = False) -> int:
-        """Advance this SM by one cycle; returns instructions issued."""
+        """Advance this SM by one cycle; returns instructions issued.
+
+        Each awake scheduler selects a warp, which issues the next slot of
+        its kernel's decoded program: memory access, retired-lane stats,
+        ``pc``, warp retirement, barrier release, then the EWS quota
+        charge and its exhaustion callback, in that order.
+        """
         issued = 0
         quota_ok = self.quota_ok
+        runtimes = self.runtimes
         for scheduler in self.schedulers:
+            if cycle < scheduler.sleep_until:
+                continue
             warp = scheduler.select(cycle, quota_ok)
-            if warp is not None:
-                self._issue(warp, cycle)
-                issued += 1
+            if warp is None:
+                continue
+            issued += 1
+            kernel_idx = warp.kernel_idx
+            runtime = runtimes[kernel_idx]
+            pc = warp.pc
+            kind, lanes, delay = runtime.decoded[pc % runtime.pattern_length]
+            barrier_released = False
+            if kind == FIXED:
+                warp.ready_at = cycle + delay
+            elif kind == LOAD:
+                warp.ready_at = self.memory.warp_access(
+                    self.sm_id, kernel_idx, warp.global_lines(runtime),
+                    False, cycle)
+            elif kind == STORE:
+                self.memory.warp_access(self.sm_id, kernel_idx,
+                                        warp.global_lines(runtime), True,
+                                        cycle)
+                warp.ready_at = cycle + delay
+            else:  # BARRIER
+                barrier_released = warp.tb.arrive_barrier(warp, cycle)
+
+            self.kernel_stats[kernel_idx].retired_thread_insts += lanes
+            pc += 1
+            warp.pc = pc
+            length = runtime.program_length
+            if pc >= length and warp.state != WarpState.AT_BARRIER:
+                self._retire_warp(warp, cycle)
+            if barrier_released:
+                # Peers released by this barrier advanced their pc when
+                # they issued the BAR; if that was their last instruction
+                # they retire now instead of re-entering the scheduler.
+                self._wake_schedulers()
+                for peer in warp.tb.warps:
+                    if peer.state == WarpState.RUNNING and peer.pc >= length:
+                        self._retire_warp(peer, cycle)
+
+            if self.quota_enabled:
+                remaining = self.quota_counters[kernel_idx] - lanes
+                self.quota_counters[kernel_idx] = remaining
+                if remaining <= 0 and quota_ok[kernel_idx]:
+                    quota_ok[kernel_idx] = False
+                    self._on_quota_exhausted(self, kernel_idx, cycle)
         self.issued_total += issued
+        self._wake_min = 0 if issued else self.wake_hint()
         if sample:
             self.sample_idle(cycle)
         return issued
-
-    def _issue(self, warp: Warp, cycle: int) -> None:
-        runtime = self.runtimes[warp.kernel_idx]
-        pattern = runtime.program.pattern
-        inst = pattern[warp.pc % len(pattern)]
-        opcode = inst.opcode
-        lanes = inst.active_lanes
-        barrier_released = False
-
-        if opcode == 0:  # ALU
-            warp.ready_at = cycle + (self._alu_lat if inst.dependent else 1)
-        elif opcode == 2:  # LDG
-            lines = warp.global_lines(runtime)
-            warp.ready_at = self.memory.warp_access(
-                self.sm_id, warp.kernel_idx, lines, False, cycle)
-        elif opcode == 4:  # LDS
-            warp.ready_at = cycle + (self._lds_lat if inst.dependent else 1)
-        elif opcode == 3:  # STG
-            lines = warp.global_lines(runtime)
-            self.memory.warp_access(self.sm_id, warp.kernel_idx, lines, True, cycle)
-            warp.ready_at = cycle + 1
-        elif opcode == 1:  # SFU
-            warp.ready_at = cycle + (self._sfu_lat if inst.dependent else 4)
-        else:  # BAR
-            barrier_released = warp.tb.arrive_barrier(warp, cycle)
-
-        kernel_idx = warp.kernel_idx
-        stats = self.kernel_stats[kernel_idx]
-        stats.retired_thread_insts += lanes
-        stats.issued_warp_insts += 1
-        self.retired_local[kernel_idx] += lanes
-
-        warp.pc += 1
-        if warp.pc >= runtime.program_length and warp.state != WarpState.AT_BARRIER:
-            self._retire_warp(warp, cycle)
-        if barrier_released:
-            # Peers released by this barrier advanced their pc when they
-            # issued the BAR; if that was their last instruction they retire
-            # now instead of re-entering the scheduler.
-            self._wake_schedulers()
-            length = runtime.program_length
-            for peer in warp.tb.warps:
-                if peer.state == WarpState.RUNNING and peer.pc >= length:
-                    self._retire_warp(peer, cycle)
-
-        if self.quota_enabled:
-            remaining = self.quota_counters[kernel_idx] - lanes
-            self.quota_counters[kernel_idx] = remaining
-            if remaining <= 0 and self.quota_ok[kernel_idx]:
-                self.quota_ok[kernel_idx] = False
-                self._on_quota_exhausted(self, kernel_idx, cycle)
 
     def _retire_warp(self, warp: Warp, cycle: int) -> None:
         warp.state = WarpState.DONE
@@ -152,23 +142,20 @@ class SM:
         for scheduler in self.schedulers:
             scheduler.sleep_until = 0
         self._wake_min = 0
-        self._wake_dirty = False
-        if self._wake_listener is not None:
-            self._wake_listener()
 
     wake_all = _wake_schedulers
 
-    def _sleep_changed(self) -> None:
-        self._wake_dirty = True
-        if self._wake_listener is not None:
-            self._wake_listener()
+    def _scheduler_woke(self) -> None:
+        self._wake_min = 0
 
     def wake_hint(self) -> int:
         """Earliest cycle at which any of this SM's schedulers may issue."""
-        if self._wake_dirty:
-            self._wake_min = min(s.sleep_until for s in self.schedulers)
-            self._wake_dirty = False
-        return self._wake_min
+        schedulers = self.schedulers
+        wake = schedulers[0].sleep_until
+        for scheduler in schedulers:
+            if scheduler.sleep_until < wake:
+                wake = scheduler.sleep_until
+        return wake
 
     # ------------------------------------------------------- quota interface
 
@@ -201,7 +188,6 @@ class SM:
         self.quota_ok.append(True)
         self.quota_counters.append(0.0)
         self.idle_sum.append(0)
-        self.retired_local.append(0)
 
     def dispatch_tb(self, kernel_idx: int, tb_id: int, cycle: int) -> ThreadBlock:
         """Admit one TB of the kernel and spread its warps over schedulers."""
@@ -273,7 +259,6 @@ class SM:
     def reset_epoch_sampling(self) -> None:
         for kernel_idx in range(len(self.idle_sum)):
             self.idle_sum[kernel_idx] = 0
-            self.retired_local[kernel_idx] = 0
         self.idle_samples = 0
 
     def mean_idle_warps(self, kernel_idx: int) -> float:

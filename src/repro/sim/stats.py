@@ -9,25 +9,11 @@ from typing import Dict, List, Optional
 class KernelStats:
     """Per-kernel progress counters maintained by the issue path."""
 
-    __slots__ = ("retired_thread_insts", "issued_warp_insts", "completed_tbs",
-                 "idle_warp_samples", "idle_warp_sum")
+    __slots__ = ("retired_thread_insts", "completed_tbs")
 
     def __init__(self) -> None:
         self.retired_thread_insts = 0
-        self.issued_warp_insts = 0
         self.completed_tbs = 0
-        self.idle_warp_samples = 0
-        self.idle_warp_sum = 0
-
-    def reset_idle_sampling(self) -> None:
-        self.idle_warp_samples = 0
-        self.idle_warp_sum = 0
-
-    @property
-    def mean_idle_warps(self) -> float:
-        if self.idle_warp_samples == 0:
-            return 0.0
-        return self.idle_warp_sum / self.idle_warp_samples
 
 
 @dataclass

@@ -147,10 +147,12 @@ def scan_oracle():
 
     Returns a context manager that pins ``SM.wake_hint`` to 0.  A simulator
     run inside it steps every SM every cycle and never jumps idle cycles:
-    a plain per-cycle scan with no sleep skipping.  The run loop's inlined
-    fast path reads ``SM._wake_min`` while the cache is clean, and only the
-    real ``wake_hint`` ever raises that above its initial 0, so pinning the
-    method pins both paths.  Build and run the whole simulator inside::
+    a plain per-cycle scan with no sleep skipping.  The run loop gates
+    each SM on ``SM._wake_min`` and the idle jump takes the minimum of
+    those, and only ``SM.step`` ever raises it above its initial 0, by
+    storing ``wake_hint()`` after a step that issued nothing.  Pinning the
+    method therefore holds every SM's wake-up at 0, which pins both
+    paths.  Build and run the whole simulator inside::
 
         with scan_oracle():
             sim = GPUSimulator(config, launches, policy)

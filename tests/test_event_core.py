@@ -103,6 +103,39 @@ class TestRecordIdentical:
         run_sim("rollover", "gto")
         assert 0 < len(steps) < 2 * 2500
 
+    def test_oracle_pins_sleep_gate_and_idle_jumps(self, scan_oracle,
+                                                  monkeypatch):
+        # A memory-bound kernel leaves SMs asleep and the whole GPU idle
+        # for stretches, so the run loop skips through both paths: the
+        # per-SM gate on the cached wake-up and the idle jump.  Under the
+        # oracle neither may skip: each SM steps exactly once per cycle.
+        from repro.sim.sm import SM
+
+        steps = []
+        original = SM.step
+
+        def counting_step(self, cycle, sample=False):
+            steps.append((self.sm_id, cycle))
+            return original(self, cycle, sample)
+
+        monkeypatch.setattr(SM, "step", counting_step)
+        cycles = 2000
+        mem_spec = spec("m", mix=InstructionMix(
+            alu=0.1, sfu=0.0, ldg=0.9, stg=0.0, lds=0.0), ilp=0.0)
+
+        def run():
+            GPUSimulator(gpu_config("gto"),
+                         [LaunchedKernel(mem_spec)]).run(cycles)
+
+        with scan_oracle():
+            run()
+        assert sorted(steps) == [(sm_id, cycle) for sm_id in range(2)
+                                 for cycle in range(cycles)]
+        steps.clear()
+        run()
+        assert 0 < len(steps) < 2 * cycles
+        assert len({cycle for _sm_id, cycle in steps}) < cycles
+
 
 class TestSleepSkipSampling:
     """Per-SM sleep skipping must not eat idle-warp samples: an SM the

@@ -5,7 +5,7 @@ import pytest
 from repro.config import GPUConfig, PreemptionConfig, SMConfig
 from repro.kernels import get_kernel
 from repro.kernels.fusion import fuse_kernels, fused_share
-from repro.sim import GPUSimulator, LaunchedKernel
+from repro.sim import GPUSimulator, LaunchedKernel, SharingPolicy
 
 
 class TestFuseKernels:
@@ -91,6 +91,26 @@ class TestContextReset:
         sim = self._evict_one("reset")
         assert sim.preemption.wasted_thread_insts > 0
         assert sim.result().extra["wasted_thread_insts"] > 0
+
+    def test_reset_charges_exactly_the_retired_work(self):
+        """A divergent kernel's only TB, evicted mid-run, wastes exactly
+        the thread instructions its warps retired."""
+
+        class OneTB(SharingPolicy):
+            def setup(self, ctx):
+                ctx.set_tb_target(0, 0, 1)
+
+        sim = GPUSimulator(self._gpu("reset"),
+                           [LaunchedKernel(get_kernel("mri-gridding"))],
+                           OneTB())
+        sim.run(400)
+        stats = sim.kernel_stats[0]
+        assert stats.completed_tbs == 0
+        victim = sim.sms[0].pick_eviction_victim(0)
+        assert sim.sms[0].tbs == [victim]
+        sim.preemption.begin_eviction(sim.sms[0], victim, sim.cycle)
+        assert stats.retired_thread_insts > 0
+        assert sim.preemption.wasted_thread_insts == stats.retired_thread_insts
 
     def test_save_mode_wastes_nothing(self):
         sim = self._evict_one("save")

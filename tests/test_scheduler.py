@@ -128,14 +128,6 @@ class TestRemoveWarp:
         assert scheduler.select(1, ALL_OK) is None
         assert scheduler.last is None
 
-    def test_ready_count(self):
-        scheduler = GTOScheduler()
-        scheduler.add_warp(make_warp(ready_at=0))
-        scheduler.add_warp(make_warp(ready_at=0))
-        scheduler.add_warp(make_warp(ready_at=50))
-        assert scheduler.ready_count(0, ALL_OK) == 2
-        assert scheduler.ready_count(50, ALL_OK) == 3
-
 
 class TestLRR:
     def test_rotates_between_ready_warps(self):

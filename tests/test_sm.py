@@ -35,7 +35,7 @@ class Harness:
         self.config = config or GPUConfig(num_sms=1, num_mcs=1,
                                           sm=SMConfig(warp_schedulers=2))
         self.memory = MemorySubsystem(self.config, len(specs))
-        self.runtimes = [KernelRuntime(i, spec, self.config.memory.line_size)
+        self.runtimes = [KernelRuntime(i, spec, self.config.memory)
                          for i, spec in enumerate(specs)]
         self.stats = [KernelStats() for _ in specs]
         self.exhausted_events = []
@@ -187,14 +187,6 @@ class TestIdleSampling:
         harness.sm.reset_epoch_sampling()
         assert harness.sm.idle_samples == 0
         assert harness.sm.mean_idle_warps(0) == 0.0
-        assert harness.sm.retired_local[0] == 0
-
-    def test_retired_local_tracks_per_epoch(self):
-        harness = Harness([alu_spec()])
-        harness.sm.dispatch_tb(0, 0, 0)
-        harness.run(20, start=1)
-        assert harness.sm.retired_local[0] == \
-            harness.stats[0].retired_thread_insts
 
 
 class TestEvictionVictim:

@@ -15,20 +15,6 @@ class TestKernelStats:
     def test_initial_zero(self):
         stats = KernelStats()
         assert stats.retired_thread_insts == 0
-        assert stats.mean_idle_warps == 0.0
-
-    def test_mean_idle_warps(self):
-        stats = KernelStats()
-        stats.idle_warp_sum = 30
-        stats.idle_warp_samples = 10
-        assert stats.mean_idle_warps == 3.0
-
-    def test_reset_idle_sampling(self):
-        stats = KernelStats()
-        stats.idle_warp_sum = 30
-        stats.idle_warp_samples = 10
-        stats.reset_idle_sampling()
-        assert stats.mean_idle_warps == 0.0
 
 
 class TestKernelResult:

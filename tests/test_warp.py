@@ -1,5 +1,6 @@
 """Tests for warp state and address generation."""
 
+from repro.config import MemoryConfig
 from repro.kernels.spec import KernelSpec, MemoryPattern
 from repro.sim.kernel_runtime import KernelRuntime
 from repro.sim.tb import ThreadBlock
@@ -9,7 +10,7 @@ from repro.sim.warp import Warp, WarpState
 def make_runtime(kernel_idx=0, **memory_kwargs):
     spec = KernelSpec(name="warp-test",
                       memory=MemoryPattern(**memory_kwargs))
-    return KernelRuntime(kernel_idx, spec, line_size=128)
+    return KernelRuntime(kernel_idx, spec, MemoryConfig(line_size=128))
 
 
 def make_warp(runtime, tb_id=0, warp_id=0):
