@@ -6,8 +6,10 @@ whom* so taint and effects can cross function boundaries.  This module
 builds that statically from a :class:`~repro.analysis.core.Project`:
 
 * :class:`FunctionInfo` / :class:`ClassInfo` — every ``def`` and
-  ``class`` in the analyzed tree, addressable by **qualified name**
-  (``repro.sim.policy.PolicyContext.set_quota``);
+  ``class`` in the analyzed tree, at any depth, addressable by
+  **qualified name** (``repro.sim.policy.PolicyContext.set_quota``; a def
+  nested in a function is ``outer.<locals>.inner``, as in
+  ``__qualname__``);
 * :class:`CallGraph` — the symbol table plus call-site resolution:
   :meth:`CallGraph.resolve_call` maps a call expression to a
   :class:`CallTarget`, understanding import aliases (via
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.analysis.core import ModuleInfo, Project, dotted_name
 
@@ -55,6 +57,9 @@ class FunctionInfo:
     #: Decorator names as written (dotted where applicable).
     decorators: Tuple[str, ...] = ()
     line: int = 0
+    #: The function whose body defines this one (through any classes in
+    #: between); None for module-level functions and their methods.
+    enclosing: Optional["FunctionInfo"] = None
 
     @property
     def is_method(self) -> bool:
@@ -121,6 +126,22 @@ def _function_params(node) -> Tuple[str, ...]:
     return tuple(names)
 
 
+def _defs_in(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """The def and class statements of one code body, in source order,
+    looking through compound statements but not into nested scopes."""
+    stack = list(reversed(body))
+    while stack:
+        stmt = stack.pop()
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield stmt
+            continue
+        children = [child for name in ("body", "handlers", "orelse",
+                                       "finalbody", "cases")
+                    for child in getattr(stmt, name, ())]
+        stack.extend(reversed(children))
+
+
 def _decorator_names(node) -> Tuple[str, ...]:
     names = []
     for decorator in node.decorator_list:
@@ -139,7 +160,7 @@ class CallGraph:
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         #: module name -> local symbol -> qualified name (functions and
-        #: classes defined at module top level, plus ``f = g`` aliases).
+        #: classes the module body defines, plus ``f = g`` aliases).
         self.module_scope: Dict[str, Dict[str, str]] = {}
         for module in project.modules:
             self._index_module(module)
@@ -151,48 +172,48 @@ class CallGraph:
         scope: Dict[str, str] = {}
         self.module_scope[module.name] = scope
         for node in module.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info = self._index_function(module, node, class_qname=None)
-                scope[node.name] = info.qname
-            elif isinstance(node, ast.ClassDef):
-                info = self._index_class(module, node)
-                scope[node.name] = info.qname
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 # Module-level aliasing: ``run = _run_impl``.
                 target, value = node.targets[0], node.value
                 if (isinstance(target, ast.Name)
                         and isinstance(value, ast.Name)
                         and value.id in scope):
                     scope[target.id] = scope[value.id]
+            for defined in _defs_in([node]):
+                scope[defined.name] = self._index_def(
+                    module, defined, module.name, None, None).qname
 
-    def _index_function(self, module: ModuleInfo, node,
-                        class_qname: Optional[str]) -> FunctionInfo:
-        owner = class_qname if class_qname else module.name
+    def _index_def(self, module: ModuleInfo, node: ast.stmt, owner: str,
+                   class_qname: Optional[str],
+                   enclosing: Optional[FunctionInfo]
+                   ) -> Union[FunctionInfo, ClassInfo]:
+        """Index one def or class statement and every def and class
+        nested in it."""
+        qname = f"{owner}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            bases = []
+            for base in node.bases:
+                dotted = dotted_name(base)
+                if dotted is not None:
+                    bases.append(self._resolve_symbol(module, dotted)
+                                 or dotted)
+            info = ClassInfo(qname=qname, name=node.name, module=module,
+                             node=node, bases=tuple(bases))
+            self.classes[qname] = info
+            for member in _defs_in(node.body):
+                indexed = self._index_def(module, member, qname, qname,
+                                          enclosing)
+                if isinstance(indexed, FunctionInfo):
+                    info.methods[member.name] = indexed
+            return info
         info = FunctionInfo(
-            qname=f"{owner}.{node.name}", name=node.name, module=module,
-            node=node, class_qname=class_qname,
-            params=_function_params(node),
-            decorators=_decorator_names(node), line=node.lineno)
-        self.functions[info.qname] = info
-        return info
-
-    def _index_class(self, module: ModuleInfo,
-                     node: ast.ClassDef) -> ClassInfo:
-        qname = f"{module.name}.{node.name}"
-        bases = []
-        for base in node.bases:
-            dotted = dotted_name(base)
-            if dotted is None:
-                continue
-            bases.append(self._resolve_symbol(module, dotted) or dotted)
-        info = ClassInfo(qname=qname, name=node.name, module=module,
-                         node=node, bases=tuple(bases))
-        self.classes[qname] = info
-        for statement in node.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                method = self._index_function(module, statement,
-                                              class_qname=qname)
-                info.methods[statement.name] = method
+            qname=qname, name=node.name, module=module, node=node,
+            class_qname=class_qname, params=_function_params(node),
+            decorators=_decorator_names(node), line=node.lineno,
+            enclosing=enclosing)
+        self.functions[qname] = info
+        for nested in _defs_in(node.body):
+            self._index_def(module, nested, f"{qname}.<locals>", None, info)
         return info
 
     # ----------------------------------------------------------- resolution
@@ -234,9 +255,6 @@ class CallGraph:
                 return info.methods[method]
             queue.extend(info.bases)
         return None
-
-    def class_of(self, qname: str) -> Optional[ClassInfo]:
-        return self.classes.get(qname)
 
     def resolve_call(self, module: ModuleInfo, call: ast.Call,
                      enclosing: Optional[FunctionInfo] = None,

@@ -10,11 +10,16 @@ enter tainted with their own provenance, so one pass per function yields
 both the local findings *and* the function's :class:`FunctionFacts`
 summary: what it returns (in terms of its parameters and of fresh
 sources), which parameters flow into which sinks inside it, and its
-effects (reads / mutates / IO).  An interprocedural fixpoint
+effects (mutates / IO).  An interprocedural fixpoint
 (:class:`ProjectFlowAnalysis`) iterates summaries to convergence using
 :meth:`~repro.analysis.callgraph.CallGraph.callers_of` as its schedule,
 then takes one reporting pass that materialises findings with full
 source→sink traces.
+
+Every code body is read: functions and methods at any depth (a nested
+def gets a summary of its own), class bodies, lambda bodies and the
+module top level.  Decorators, default values and class bases are
+evaluated in the body that runs them, the enclosing one.
 
 Sanitizers are modeled, not pattern-matched: ``sorted(...)`` strips
 order provenance, ``math.fsum(...)`` makes a float reduction
@@ -28,7 +33,8 @@ the analyzer itself; a warm ``repro lint`` recomputes only what changed.
 
 Everything here is stdlib-only and best-effort: unknown calls
 conservatively merge their argument taints, unknown receivers fall back
-to name heuristics, and nested ``def``\\ s are treated as opaque.
+to name heuristics, and a call from a function into its own nested def
+stays unresolved.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from repro.analysis.callgraph import (
     CallGraph,
     CallTarget,
     FunctionInfo,
+    _function_params,
     build_callgraph,
 )
 from repro.analysis.core import ModuleInfo, Project, dotted_name
@@ -67,8 +74,7 @@ VALUE_KINDS = frozenset({"time", "rng", "id"})
 
 #: Shapes: structural facts about a value that matter to order-sensitive
 #: consumers.  ``@ret``-suffixed variants mark shapes that crossed a call
-#: boundary (came out of a helper) — the syntactic DET rules are blind to
-#: those, so FLOAT001 only defers to DET007 on the bare ``parallel`` shape.
+#: boundary (came out of a helper), so a finding can say so.
 SHAPE_SET = "set"
 SHAPE_LISTING = "listing"
 SHAPE_PARALLEL = "parallel"
@@ -77,15 +83,24 @@ SHAPE_PARALLEL = "parallel"
 #: hashes, digest construction) — same convention as DET008.
 IDENTITY_MARKERS = ("digest", "hash", "key")
 
+#: Calls whose ``key=`` decides an order (FLOW002 sinks).
+_ORDERING_CALLS = frozenset({"sorted", "sort", "min", "max", "nsmallest",
+                             "nlargest", "merge"})
+
 #: Call names that record telemetry / trace output (FLOW003 sinks).
 TELEMETRY_SINKS = frozenset({
     "note_quota", "write_trace", "EpochRecord", "KernelEpochRecord",
     "TBMove",
 })
 
-#: ``pool.map``-style producers: element order is the runner's business.
-_PARALLEL_PRODUCERS = frozenset({"sweep", "map", "starmap"})
-_UNORDERED_PRODUCERS = frozenset({"imap_unordered"})
+#: ``pool.map``-style producers and the shape of what they return: the
+#: element order is the runner's business.  A method call by one of these
+#: names carries the shape whatever it resolves to.
+_PRODUCER_SHAPES = {
+    "sweep": SHAPE_PARALLEL, "map": SHAPE_PARALLEL, "imap": SHAPE_PARALLEL,
+    "starmap": SHAPE_PARALLEL, "map_async": SHAPE_PARALLEL,
+    "starmap_async": SHAPE_PARALLEL, "imap_unordered": SHAPE_SET,
+}
 
 _SANITIZER_DOC = ("wrap in sorted(...), accumulate with math.fsum(...), "
                   "or seed the source")
@@ -163,11 +178,6 @@ class AbsValue:
                         self.shapes | other.shapes)
 
     @property
-    def real_tags(self) -> List[Tag]:
-        return sorted((tag for tag in self.taints if not tag.is_param),
-                      key=lambda t: (t.path, t.line, t.kind, t.desc))
-
-    @property
     def param_tags(self) -> List[Tag]:
         return sorted((tag for tag in self.taints if tag.is_param),
                       key=lambda t: t.param)
@@ -216,7 +226,6 @@ class FunctionFacts:
     #: Sinks inside this function that its parameters flow into.
     param_sinks: frozenset = frozenset()
     #: Effects.
-    reads: bool = False
     io: bool = False
     #: Mutation roots: ``"param:<name>"`` or ``"global"``.
     mutates: frozenset = frozenset()
@@ -230,7 +239,7 @@ class FunctionFacts:
             "param_sinks": [sink.to_dict() for sink in sorted(
                 self.param_sinks,
                 key=lambda s: (s.param, s.rule, s.path, s.line))],
-            "reads": self.reads, "io": self.io,
+            "io": self.io,
             "mutates": sorted(self.mutates),
         }
 
@@ -243,28 +252,11 @@ class FunctionFacts:
                 frozenset(payload["ret_shapes"])),
             param_sinks=frozenset(ParamSink.from_dict(sink)
                                   for sink in payload["param_sinks"]),
-            reads=payload["reads"], io=payload["io"],
+            io=payload["io"],
             mutates=frozenset(payload["mutates"]))
 
 
 EMPTY_FACTS = FunctionFacts()
-
-#: Purity labels, most severe first.
-PURE = "PURE"
-READS_STATE = "READS_STATE"
-MUTATES_ENGINE = "MUTATES_ENGINE"
-IO = "IO"
-
-
-def classify(facts: FunctionFacts) -> str:
-    """Purity label for a function summary (IO > MUTATES > READS > PURE)."""
-    if facts.io:
-        return IO
-    if facts.mutates:
-        return MUTATES_ENGINE
-    if facts.reads:
-        return READS_STATE
-    return PURE
 
 
 # --------------------------------------------------------------------- CFG
@@ -296,7 +288,9 @@ def build_cfg(body: Sequence[ast.stmt]) -> _CFG:
 
     Branches join, loops iterate (the worklist runs the back edge to a
     fixpoint), ``try`` handlers conservatively join the states before and
-    after the protected body.  Nested ``def``/``class`` are opaque.
+    after the protected body.  A nested ``def``/``class`` contributes what
+    runs where it stands: its decorators and defaults, or its bases and
+    class keywords; its body is a body of its own.
     """
     cfg = _CFG()
     tail = _emit(cfg, body, cfg.entry, [])
@@ -402,6 +396,15 @@ def _emit(cfg: _CFG, stmts: Sequence[ast.stmt], current: Optional[_Block],
             current.steps.append(("expr", stmt.test, stmt))
             if stmt.msg is not None:
                 current.steps.append(("expr", stmt.msg, stmt))
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for expr in (stmt.decorator_list + stmt.args.defaults
+                         + [default for default in stmt.args.kw_defaults
+                            if default is not None]):
+                current.steps.append(("expr", expr, stmt))
+        elif isinstance(stmt, ast.ClassDef):
+            for expr in (stmt.decorator_list + stmt.bases
+                         + [keyword.value for keyword in stmt.keywords]):
+                current.steps.append(("expr", expr, stmt))
         elif stmt.__class__.__name__ == "Match":
             current.steps.append(("expr", stmt.subject, stmt))
             after = cfg.new()
@@ -414,8 +417,8 @@ def _emit(cfg: _CFG, stmts: Sequence[ast.stmt], current: Optional[_Block],
                     case_exit.succ.append(after)
             current = after
         else:
-            # Imports, Global/Nonlocal, Pass, Delete, nested def/class:
-            # no dataflow contribution at this level.
+            # Imports, Global/Nonlocal, Pass, Delete: no dataflow
+            # contribution.
             continue
     return current
 
@@ -709,6 +712,12 @@ class _FunctionAnalysis:
                              ast.DictComp)):
             return self._eval_comprehension(node, env)
         if isinstance(node, ast.Lambda):
+            # The function object carries no taint, but its defaults run
+            # here and its body's sinks are checked.
+            for default in node.args.defaults + [
+                    d for d in node.args.kw_defaults if d is not None]:
+                self._eval(default, env)
+            self._lambda_result(node, env)
             return EMPTY
         if isinstance(node, (ast.Await, ast.YieldFrom)):
             return self._eval(node.value, env)
@@ -727,6 +736,18 @@ class _FunctionAnalysis:
         if isinstance(node, ast.Starred):
             return self._eval(node.value, env)
         return EMPTY
+
+    def _lambda_result(self, node: ast.Lambda,
+                       env: Dict[str, AbsValue]) -> AbsValue:
+        """What a lambda returns, its own parameters entering clean."""
+        inner = dict(env)
+        for name in _function_params(node):
+            inner[name] = EMPTY
+        return self._eval(node.body, inner)
+
+    def _id_value(self, line: int) -> AbsValue:
+        return AbsValue(frozenset({Tag(
+            "id", "id() (address-dependent)", self.path, line)}))
 
     def _eval_comprehension(self, node, env: Dict[str, AbsValue]
                             ) -> AbsValue:
@@ -790,6 +811,9 @@ class _FunctionAnalysis:
             else:
                 result = self._opaque_call(call, name, arg_values, merged,
                                            value_of)
+        if isinstance(func, ast.Attribute) and name in _PRODUCER_SHAPES:
+            result = AbsValue(result.taints,
+                              result.shapes | {_PRODUCER_SHAPES[name]})
         self._check_sinks(call, name, arg_values, kw_values, env, target)
         return result
 
@@ -803,8 +827,7 @@ class _FunctionAnalysis:
             return AbsValue(frozenset(
                 tag for tag in first.taints if tag.kind not in ORDER_KINDS))
         if name == "id":
-            return AbsValue(frozenset({Tag(
-                "id", "id() (address-dependent)", self.path, call.lineno)}))
+            return self._id_value(call.lineno)
         if name in ("set", "frozenset"):
             return AbsValue(merged.taints, first.shapes | {SHAPE_SET})
         if name in ("list", "tuple", "reversed", "iter"):
@@ -929,12 +952,6 @@ class _FunctionAnalysis:
             return AbsValue(frozenset({Tag(
                 "fs-order", f"filesystem-order listing .{name}()",
                 self.path, call.lineno)}), frozenset({SHAPE_LISTING}))
-        if name in _PARALLEL_PRODUCERS:
-            return AbsValue(merged.taints | receiver.taints,
-                            frozenset({SHAPE_PARALLEL}))
-        if name in _UNORDERED_PRODUCERS:
-            return AbsValue(merged.taints | receiver.taints,
-                            frozenset({SHAPE_SET}))
         if name == "join" and isinstance(call.func, ast.Attribute):
             first = args[0] if args else EMPTY
             taints = set(merged.taints) | set(receiver.taints)
@@ -1026,35 +1043,30 @@ class _FunctionAnalysis:
 
     def _check_sort_key(self, call: ast.Call, name: str,
                         env: Dict[str, AbsValue]) -> None:
-        if name not in ("sorted", "min", "max", "sort"):
+        if name not in _ORDERING_CALLS:
             return
         key_expr = next((kw.value for kw in call.keywords
                          if kw.arg == "key"), None)
         if key_expr is None:
             return
-        sink = f"sort key of {name}()"
+        value = EMPTY
         if isinstance(key_expr, ast.Lambda):
-            inner = dict(env)
-            for arg in key_expr.args.args:
-                inner[arg.arg] = EMPTY
-            value = self._eval(key_expr.body, inner)
-        elif dotted_name(key_expr) is not None and not isinstance(
-                key_expr, ast.Name):
-            value = EMPTY
-        else:
+            value = self._lambda_result(key_expr, env)
+        elif isinstance(key_expr, ast.Name):
             # A named function used as key: its summary's fresh sources
-            # make the ordering nondeterministic.
-            value = EMPTY
-            if isinstance(key_expr, ast.Name):
-                scope = self.engine.callgraph.module_scope.get(
-                    self.module.name, {})
-                qname = scope.get(key_expr.id)
-                if qname is not None:
-                    facts = self.engine.facts.get(qname, EMPTY_FACTS)
-                    value = AbsValue(frozenset(
-                        tag for tag in facts.ret.taints
-                        if not tag.is_param))
-        self._sink_hit("FLOW002", sink, call,
+            # make the ordering nondeterministic, and so does the builtin
+            # id unless something here rebinds the name.
+            scope = self.engine.callgraph.module_scope.get(
+                self.module.name, {})
+            qname = scope.get(key_expr.id)
+            if qname is not None:
+                facts = self.engine.facts.get(qname, EMPTY_FACTS)
+                value = AbsValue(frozenset(
+                    tag for tag in facts.ret.taints if not tag.is_param))
+            elif key_expr.id == "id" and "id" not in env \
+                    and "id" not in self.module.aliases:
+                value = self._id_value(call.lineno)
+        self._sink_hit("FLOW002", f"sort key of {name}()", call,
                        [(key_expr, value)], "orders via")
 
     # ----------------------------------------------------------- FLOAT001
@@ -1106,17 +1118,13 @@ class _FunctionAnalysis:
                          args: List[AbsValue]) -> None:
         if not args:
             return
-        shapes = set(args[0].shapes)
-        # The syntactic DET007 already owns the directly-visible
-        # parallel-results case; FLOAT001 covers everything it cannot
-        # see (unordered inputs, and shapes that crossed a helper).
-        shapes.discard(SHAPE_PARALLEL)
+        shapes = args[0].shapes
         order_taints = [tag for tag in args[0].taints
                         if tag.kind in ORDER_KINDS]
         if shapes:
             self._add_finding(
                 "FLOAT001", call.lineno,
-                f"sum() over {_shape_text(frozenset(shapes))}: float "
+                f"sum() over {_shape_text(shapes)}: float "
                 "addition is order-sensitive — use math.fsum(...) or "
                 "sort first")
         elif order_taints:
@@ -1169,6 +1177,23 @@ _OWNING_BUILTINS = frozenset({
 })
 
 
+def _bound_names(info: FunctionInfo) -> Set[str]:
+    """The names a function binds: its parameters, the targets it stores
+    to and the defs and classes it defines (not their bodies)."""
+    names = set(info.params)
+    stack: List[ast.AST] = list(info.node.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 class _EffectWalker:
     """Flow-insensitive effect inference for one function."""
 
@@ -1178,14 +1203,19 @@ class _EffectWalker:
         self.params = set(info.params)
         self.globals_declared: Set[str] = set()
         self.roots: Dict[str, Set[str]] = {}
+        #: Names the enclosing functions bind: a closure's, not globals.
+        self.closure: Set[str] = set()
+        outer = info.enclosing
+        while outer is not None:
+            self.closure |= _bound_names(outer)
+            outer = outer.enclosing
 
-    def run(self) -> Tuple[bool, bool, frozenset]:
+    def run(self) -> Tuple[bool, frozenset]:
         body = self.info.node.body
         for node in self._walk(body):
             if isinstance(node, ast.Global):
                 self.globals_declared.update(node.names)
         self._solve_roots(body)
-        reads = False
         io = False
         mutates: Set[str] = set()
         for node in self._walk(body):
@@ -1198,19 +1228,10 @@ class _EffectWalker:
                         continue
                     mutates |= self._target_mutations(target)
             if isinstance(node, ast.Call):
-                call_reads, call_io, call_mutates = self._call_effects(node)
-                reads = reads or call_reads
+                call_io, call_mutates = self._call_effects(node)
                 io = io or call_io
                 mutates |= call_mutates
-            if isinstance(node, ast.Attribute) and isinstance(
-                    node.ctx, ast.Load):
-                if self._expr_roots(node.value) & self._state_roots():
-                    reads = True
-            if isinstance(node, ast.Name) and isinstance(
-                    node.ctx, ast.Load):
-                if node.id in self.globals_declared:
-                    reads = True
-        return reads, io, frozenset(mutates)
+        return io, frozenset(mutates)
 
     def _walk(self, body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
         """Walk the function body without descending into nested defs."""
@@ -1223,9 +1244,6 @@ class _EffectWalker:
                                       ast.AsyncFunctionDef, ast.ClassDef)):
                     continue
                 stack.append(child)
-
-    def _state_roots(self) -> Set[str]:
-        return {f"param:{name}" for name in self.params} | {"global"}
 
     def _solve_roots(self, body: Sequence[ast.stmt]) -> None:
         assignments: List[Tuple[str, ast.AST]] = []
@@ -1284,6 +1302,8 @@ class _EffectWalker:
                 return {"global"}
             if node.id in self.roots:
                 return set(self.roots[node.id])
+            if node.id in self.closure:
+                return {"local"}
             scope = self.engine.callgraph.module_scope.get(
                 self.info.module.name, {})
             if node.id in scope or node.id in _OWNING_BUILTINS:
@@ -1324,9 +1344,7 @@ class _EffectWalker:
                     mutations.add(root)
         return mutations
 
-    def _call_effects(self, call: ast.Call
-                      ) -> Tuple[bool, bool, Set[str]]:
-        reads = False
+    def _call_effects(self, call: ast.Call) -> Tuple[bool, Set[str]]:
         io = False
         mutates: Set[str] = set()
         target = self.engine.resolve(
@@ -1338,7 +1356,6 @@ class _EffectWalker:
             callee = self.engine.callgraph.callee_body(target)
             if callee is not None:
                 facts = self.engine.facts.get(callee.qname, EMPTY_FACTS)
-                reads = facts.reads
                 io = facts.io
                 mapping = map_call_args(call, callee,
                                         target.kind == "constructor")
@@ -1357,7 +1374,7 @@ class _EffectWalker:
                     for root in self._expr_roots(expr):
                         if root != "local":
                             mutates.add(root)
-            return reads, io, mutates
+            return io, mutates
         if target.kind == "external":
             qname = target.qname
             if qname.startswith("os.") and not qname.startswith("os.path."):
@@ -1366,10 +1383,10 @@ class _EffectWalker:
                 io = True
             elif qname in ("json.dump",):
                 io = True
-            return reads, io, mutates
+            return io, mutates
         if name in ("print", "input", "open", "breakpoint"):
             io = True
-            return reads, io, mutates
+            return io, mutates
         if isinstance(call.func, ast.Attribute):
             if name in _IO_METHODS:
                 io = True
@@ -1377,7 +1394,7 @@ class _EffectWalker:
                 for root in self._expr_roots(call.func.value):
                     if root != "local":
                         mutates.add(root)
-        return reads, io, mutates
+        return io, mutates
 
 
 # ----------------------------------------------------------- project engine
@@ -1464,10 +1481,19 @@ class ProjectFlowAnalysis:
             self, info.module, info.node.body, info.params, info.qname,
             info, info.line)
 
-    def _module_level(self, module: ModuleInfo) -> _FunctionAnalysis:
-        return _FunctionAnalysis(
-            self, module, module.tree.body, (),
-            f"{module.name}.<module>", None, 1)
+    def _bare_bodies(self, module: ModuleInfo) -> List[_FunctionAnalysis]:
+        """The bodies of ``module`` that run without being called: each
+        class body, then the top level.  They have no summary, so only
+        the reporting pass reads them."""
+        bodies = [_FunctionAnalysis(self, module, info.node.body, (),
+                                    f"{info.qname}.<body>", None,
+                                    info.node.lineno)
+                  for info in self.callgraph.classes.values()
+                  if info.module is module]
+        bodies.append(_FunctionAnalysis(
+            self, module, module.tree.body, (), f"{module.name}.<module>",
+            None, 1))
+        return bodies
 
     # -------------------------------------------------------------- keys
 
@@ -1574,8 +1600,9 @@ class ProjectFlowAnalysis:
                 _ret, _sinks, raw = self._analysis_for(info).run(
                     report=True)
                 findings.extend(raw)
-            _ret, _sinks, raw = self._module_level(module).run(report=True)
-            findings.extend(raw)
+            for body in self._bare_bodies(module):
+                _ret, _sinks, raw = body.run(report=True)
+                findings.extend(raw)
             findings = _FunctionAnalysis._dedupe(findings)
             self.module_findings[module.display] = findings
             if cache_dir is not None:
@@ -1583,9 +1610,9 @@ class ProjectFlowAnalysis:
 
     def _summarise(self, info: FunctionInfo) -> FunctionFacts:
         ret, sinks, _ = self._analysis_for(info).run(report=False)
-        reads, io, mutates = _EffectWalker(self, info).run()
-        return FunctionFacts(ret=ret, param_sinks=frozenset(sinks),
-                             reads=reads, io=io, mutates=mutates)
+        io, mutates = _EffectWalker(self, info).run()
+        return FunctionFacts(ret=ret, param_sinks=frozenset(sinks), io=io,
+                             mutates=mutates)
 
     def _load_cache(self, cache_dir: pathlib.Path, module: ModuleInfo,
                     keys: Dict[str, str]) -> Optional[dict]:
@@ -1633,9 +1660,6 @@ class ProjectFlowAnalysis:
 
     def facts_for(self, qname: str) -> FunctionFacts:
         return self.facts.get(qname, EMPTY_FACTS)
-
-    def classification(self, qname: str) -> str:
-        return classify(self.facts_for(qname))
 
 
 def project_flow(project: Project) -> ProjectFlowAnalysis:

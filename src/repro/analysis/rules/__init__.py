@@ -9,15 +9,13 @@ id        severity   invariant
 DET001    error      no wall-clock reads on result paths
 DET002    error      no process-global / unseeded RNGs
 DET003    error      no iteration over sets (hash-randomised order)
-DET004    error      no ordering by ``id()``
 DET005    error      no filesystem-order directory listings without ``sorted``
 DET006    warning    ``.keys()`` iteration: sort when order can matter
-DET007    warning    no plain ``sum`` over parallel-worker results
 DET008    error      timestamps never feed identity (ORDER BY / hashed keys)
 FLOW001   error      no nondeterminism reaching identity sinks (interproc.)
 FLOW002   error      no nondeterministic sort keys (flow-evaluated)
 FLOW003   error      no nondeterminism recorded into telemetry
-FLOAT001  warning    no order-sensitive float accumulation over unordered input
+FLOAT001  warning    no order-sensitive float sums over unordered or pool input
 EFFECT001 error      telemetry export paths never mutate engine state
 EFFECT002 error      PolicyContext observation methods are side-effect-free
 EFFECT003 error      policy code actuates only via the seam

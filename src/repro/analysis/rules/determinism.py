@@ -9,19 +9,20 @@ These rules flag the classic ways python code silently breaks that:
 * ``DET001`` — wall-clock reads (``time.time``, argless ``datetime.now``);
 * ``DET002`` — process-global or unseeded RNGs;
 * ``DET003`` — iterating a ``set`` (order varies under hash randomisation);
-* ``DET004`` — ordering by ``id()`` (address-dependent);
 * ``DET005`` — filesystem-order directory listings without ``sorted``;
 * ``DET006`` — ``dict.keys()`` iteration (warning: order is insertion
   history, which is easy to perturb from call sites);
-* ``DET007`` — ``sum(...)`` of floats over parallel-worker-produced
-  results (warning: float addition is order-sensitive; ``math.fsum`` is
-  correctly rounded and therefore order-robust);
 * ``DET008`` — timestamps feeding result ordering or content identity:
   ``ORDER BY <timestamp column>`` in SQL string constants, or a
   timestamp-named key inside a dict passed to a digest/hash/key function.
   The experiment store records wall-clock columns for operators; the moment
   one leaks into an ``ORDER BY`` that feeds results, or into a hashed
   payload, identical runs stop being identical.
+
+Ordering by ``id()`` and order-sensitive float sums are judged by the
+flow engine alone (FLOW002 and FLOAT001 in :mod:`.flowrules`): both are
+a value reaching a sink, which the dataflow sees through names, helpers
+and every code body.
 """
 
 from __future__ import annotations
@@ -236,38 +237,6 @@ class SetIterationRule(Rule):
 
 
 @register
-class IdOrderingRule(Rule):
-    id = "DET004"
-    severity = ERROR
-    summary = ("ordering by id(): object addresses differ between runs; "
-               "sort by a stable key")
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            for keyword in node.keywords:
-                if keyword.arg != "key":
-                    continue
-                if self._is_id_key(keyword.value):
-                    yield self.finding(
-                        module, node.lineno,
-                        "key=id orders by memory address, which changes "
-                        "between runs; use a stable attribute instead")
-
-    @staticmethod
-    def _is_id_key(value: ast.AST) -> bool:
-        if isinstance(value, ast.Name) and value.id == "id":
-            return True
-        if isinstance(value, ast.Lambda):
-            body = value.body
-            return (isinstance(body, ast.Call)
-                    and isinstance(body.func, ast.Name)
-                    and body.func.id == "id")
-        return False
-
-
-@register
 class FilesystemOrderRule(Rule):
     id = "DET005"
     severity = ERROR
@@ -322,111 +291,6 @@ class DictKeysIterationRule(Rule):
                         "iterating .keys() pins the order to insertion "
                         "history; iterate sorted(d) when order can affect "
                         "results (or drop .keys() if order is irrelevant)")
-
-
-#: Methods that fan work out over parallel workers (or batch runners that
-#: may): the iterables they return are the classic place where a plain
-#: ``sum()`` bakes the accumulation order into a float result.
-_PARALLEL_PRODUCER_METHODS = {
-    "sweep", "map", "imap", "imap_unordered", "starmap", "starmap_async",
-    "map_async",
-}
-
-
-class _ParallelScope:
-    """Names in one lexical scope bound to parallel-producer results.
-
-    Mirrors :class:`_SetScope`'s conservative two-pass contract: a name
-    counts only when every simple assignment to it in the scope is a
-    parallel-producer call (optionally wrapped in ``list``/``tuple``), so
-    rebinding to anything else disqualifies it.
-    """
-
-    def __init__(self) -> None:
-        self.parallel: Set[str] = set()
-        self.disqualified: Set[str] = set()
-
-    def observe(self, target: ast.AST, value: ast.AST) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        if _is_parallel_producer(value, self):
-            self.parallel.add(target.id)
-        else:
-            self.disqualified.add(target.id)
-
-    def is_parallel_name(self, name: str) -> bool:
-        return name in self.parallel and name not in self.disqualified
-
-
-def _is_parallel_producer(node: ast.AST, scope: _ParallelScope) -> bool:
-    if isinstance(node, ast.Name):
-        return scope.is_parallel_name(node.id)
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Name) and func.id in ("list", "tuple") and \
-            node.args:
-        return _is_parallel_producer(node.args[0], scope)
-    return (isinstance(func, ast.Attribute)
-            and func.attr in _PARALLEL_PRODUCER_METHODS)
-
-
-def _iterates_parallel(node: ast.AST, scope: _ParallelScope) -> bool:
-    """True when ``node`` (a ``sum`` argument) draws its iteration order
-    from a parallel-producer result: the result itself, or a
-    comprehension/generator over one."""
-    if _is_parallel_producer(node, scope):
-        return True
-    if isinstance(node, (ast.GeneratorExp, ast.ListComp)):
-        return any(_is_parallel_producer(gen.iter, scope)
-                   for gen in node.generators)
-    return False
-
-
-@register
-class FloatAccumulationOrderRule(Rule):
-    id = "DET007"
-    severity = WARNING
-    summary = ("sum() over parallel-worker results: float addition is "
-               "order-sensitive; accumulate with math.fsum(...) so the "
-               "total does not depend on completion/iteration order")
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        yield from self._check_scope(module, module.tree)
-
-    def _check_scope(self, module: ModuleInfo,
-                     scope_node: ast.AST) -> Iterator[Finding]:
-        scope = _ParallelScope()
-        body_nodes = []
-        nested = []
-        stack = list(ast.iter_child_nodes(scope_node))
-        while stack:
-            node = stack.pop(0)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                nested.append(node)
-                continue
-            body_nodes.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        for node in body_nodes:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                scope.observe(node.targets[0], node.value)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                scope.observe(node.target, node.value)
-        for node in body_nodes:
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "sum" and node.args):
-                continue
-            if _iterates_parallel(node.args[0], scope):
-                yield self.finding(
-                    module, node.lineno,
-                    "sum() accumulates floats in iteration order over a "
-                    "parallel-producer result (.sweep/.map/...); the total "
-                    "then encodes that order — use math.fsum(...) for an "
-                    "order-robust, correctly-rounded accumulation")
-        for node in nested:
-            yield from self._check_scope(module, node)
 
 
 #: Column/key names that carry wall-clock values in this codebase (the

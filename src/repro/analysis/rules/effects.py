@@ -1,10 +1,10 @@
-"""Effect/purity contracts on the architecture's seams (EFFECT001-003).
+"""Effect contracts on the architecture's seams (EFFECT001-003).
 
-The flow engine (:mod:`repro.analysis.flow`) classifies every function
-as PURE / READS_STATE / MUTATES_ENGINE / IO from an interprocedural
-effect summary: which parameters (or globals) it mutates, whether it
-performs IO, transitively through project calls.  These rules pin the
-seams the repo's PRs deliberately built:
+The flow engine (:mod:`repro.analysis.flow`) infers an effect summary
+for every function, nested ones included: which parameters (or module
+globals) it mutates, and whether it performs IO, transitively through
+project calls.  These rules pin the seams the repo's PRs deliberately
+built:
 
 * ``EFFECT001`` — telemetry export paths (``repro.sim.records``,
   ``repro.sim.telemetry``, ``repro.trace.jsonl``/``render``) accumulate
@@ -141,11 +141,10 @@ Example finding:
         if project.module("repro.sim.policy") is None:
             return
         flow = project_flow(project)
-        prefix = "repro.sim.policy.PolicyContext."
         for qname, info in sorted(flow.callgraph.functions.items()):
-            if not qname.startswith(prefix):
+            if info.class_qname != "repro.sim.policy.PolicyContext":
                 continue
-            method = qname[len(prefix):]
+            method = info.name
             if method in POLICY_CONTEXT_ACTUATORS:
                 continue
             facts = flow.facts_for(qname)

@@ -1,11 +1,12 @@
 """Flow-sensitive determinism rules (FLOW001-003, FLOAT001).
 
-These are the interprocedural counterparts of the syntactic DET rules:
-instead of pattern-matching one expression, they re-emit findings from
-the project-wide taint analysis in :mod:`repro.analysis.flow`, so one
-helper function of indirection between ``time.time()`` and a cache-key
-digest no longer hides the bug.  Every finding message carries the full
-source→sink trace (``repro lint --explain FLOW001`` shows an example).
+Where the syntactic DET rules flag a source wherever it appears, these
+fire when a nondeterministic value reaches a sink: they re-emit findings
+from the project-wide taint analysis in :mod:`repro.analysis.flow`, so
+one helper function of indirection between ``time.time()`` and a
+cache-key digest no longer hides the bug.  Every finding message
+carries the full source→sink trace (``repro lint --explain FLOW001``
+shows an example).
 
 The rules themselves are thin: the engine runs once per project (shared
 across all four rules and the EFFECT rules via
@@ -79,10 +80,11 @@ class TaintedSortKeyRule(_ProjectFlowRule):
     explain = """\
 Result ordering feeds figures, sweep grids and the experiment store, so
 an ordering decided by a nondeterministic key silently reorders results
-between identical runs.  DET004 catches the literal ``key=id``; FLOW002
-evaluates the key expression — a lambda body or a named helper's return
-summary — under the taint environment, so ``key=lambda k: id(k)`` or a
-helper that reads the clock is caught too.
+between identical runs.  FLOW002 evaluates the ``key=`` of
+sorted/sort/min/max and heapq's nsmallest/nlargest/merge under the
+taint environment: the builtin ``id`` itself, a lambda body, or a named
+helper's return summary, so ``key=id``, ``key=lambda k: id(k)`` and a
+helper that reads the clock are all caught, in any code body.
 
 Example finding:
 
@@ -125,20 +127,21 @@ class FloatAccumulationRule(_ProjectFlowRule):
     id = "FLOAT001"
     severity = WARNING
     summary = ("order-sensitive float accumulation (+=/sum) over an "
-               "unordered or helper-produced parallel iterable: float "
+               "unordered or parallel-worker-produced iterable: float "
                "addition is not associative — use math.fsum or sort "
                "first")
     explain = """\
 Float addition is not associative: summing the same values in a
 different order changes the last few bits, which is exactly the kind
-of drift the record-identity tests exist to catch.  DET007 flags the
-directly visible ``sum(pool.map(...))``; FLOAT001 uses the dataflow
-shapes, so it also catches
+of drift the record-identity tests exist to catch.  FLOAT001 uses the
+dataflow shapes, so it catches
 
-* ``+=`` accumulation of a float inside a loop over a set or a
-  filesystem listing,
-* ``sum(...)`` over an unordered iterable, including one returned by a
-  helper function (where the syntactic rule is blind).
+* ``sum(...)`` over parallel-worker results (``.sweep``, ``.map``,
+  ``.imap``, ``.starmap`` and their ``_async`` forms) or over
+  ``.imap_unordered``, directly, through a variable or a comprehension,
+* ``sum(...)`` over an unordered set or a filesystem listing, including
+  one returned by a helper function,
+* ``+=`` accumulation of a float inside a loop over any of those.
 
 Example finding:
 

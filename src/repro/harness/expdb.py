@@ -311,14 +311,6 @@ class ExperimentDB:
             (experiment_id,)).fetchall()
         return {row["status"]: row["n"] for row in rows}
 
-    def done_case_keys(self, experiment_id: str) -> List[Tuple[int, str]]:
-        """(case_index, cache_key) of every done case, in grid order."""
-        rows = self._conn.execute(
-            "SELECT case_index, cache_key FROM cases "
-            "WHERE experiment_id = ? AND status = ? ORDER BY case_index",
-            (experiment_id, DONE)).fetchall()
-        return [(row["case_index"], row["cache_key"]) for row in rows]
-
     def stats(self) -> dict:
         experiments = self._conn.execute(
             "SELECT status, COUNT(*) AS n FROM experiments "

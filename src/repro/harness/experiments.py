@@ -778,9 +778,6 @@ class ExperimentSuite:
                         + provenance_footer(code_salt(), result.provenance))
         return result
 
-    def run_all(self) -> List[ExperimentResult]:
-        return [self.run(experiment_id) for experiment_id in self.EXPERIMENTS]
-
 
 def _mean(values: Iterable[float]) -> float:
     values = list(values)

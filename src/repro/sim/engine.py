@@ -413,9 +413,6 @@ class GPUSimulator:
                                         done - self.cycle)
         return done
 
-    def _live_tbs(self, sm: SM, kernel_idx: int) -> int:
-        return sm.live_tb_count[kernel_idx]
-
     def _dispatch_sm(self, sm: SM, cycle: int) -> None:
         """Deficit-first fill: the kernel furthest below its target (as a
         fraction of the target) gets the next TB, so infeasible targets
@@ -528,8 +525,3 @@ class GPUSimulator:
             extra={"mean_sm_activity": sum(sm_activity) / len(sm_activity),
                    "wasted_thread_insts": self.preemption.wasted_thread_insts},
         )
-
-    def ipc_snapshot(self) -> Dict[int, int]:
-        """Per-kernel retired thread instructions (for epoch IPC deltas)."""
-        return {idx: stats.retired_thread_insts
-                for idx, stats in enumerate(self.kernel_stats)}

@@ -177,21 +177,21 @@ class TestSetIteration:
 
 
 class TestIdOrdering:
+    # FLOW002 is the one check for address-dependent ordering.
     def test_flags_key_id(self):
         findings = snippet("""
             def order(tbs):
                 return sorted(tbs, key=id)
             """)
-        assert rules_of(findings) == ["DET004"]
+        assert rules_of(findings) == ["FLOW002"]
+        assert findings[0].severity == "error"
 
     def test_flags_lambda_id(self):
         findings = snippet("""
             def order(tbs):
                 tbs.sort(key=lambda tb: id(tb))
             """)
-        # The flow engine independently evaluates the lambda body, so the
-        # interprocedural FLOW002 confirms the syntactic DET004.
-        assert rules_of(findings) == ["DET004", "FLOW002"]
+        assert rules_of(findings) == ["FLOW002"]
 
     def test_quiet_on_stable_key(self):
         findings = snippet("""
@@ -249,13 +249,14 @@ class TestDictKeysIteration:
 
 
 class TestFloatAccumulationOrder:
+    # FLOAT001 is the one check for order-sensitive float sums.
     def test_flags_sum_over_sweep_result(self):
         findings = snippet("""
             def total(runner, specs):
                 records = runner.sweep(specs)
                 return sum(r.ipc for r in records)
             """)
-        assert rules_of(findings) == ["DET007"]
+        assert rules_of(findings) == ["FLOAT001"]
         assert findings[0].severity == "warning"
         assert "math.fsum" in findings[0].message
 
@@ -264,7 +265,7 @@ class TestFloatAccumulationOrder:
             def total(pool, cases):
                 return sum(pool.map(run, cases))
             """)
-        assert rules_of(findings) == ["DET007"]
+        assert rules_of(findings) == ["FLOAT001"]
 
     def test_flags_list_wrapped_producer(self):
         findings = snippet("""
@@ -272,9 +273,8 @@ class TestFloatAccumulationOrder:
                 values = list(pool.imap_unordered(run, cases))
                 return sum(values)
             """)
-        # FLOAT001 tracks the unordered shape through the list(...) wrap,
-        # seconding the syntactic DET007.
-        assert rules_of(findings) == ["DET007", "FLOAT001"]
+        # FLOAT001 tracks the unordered shape through the list(...) wrap.
+        assert rules_of(findings) == ["FLOAT001"]
 
     def test_quiet_on_fsum_and_plain_iterables(self):
         findings = snippet("""
@@ -301,9 +301,169 @@ class TestFloatAccumulationOrder:
         findings = snippet("""
             def total(runner, specs):
                 records = runner.sweep(specs)
-                return sum(r.ipc for r in records)  # repro: noqa=DET007
+                return sum(r.ipc for r in records)  # repro: noqa=FLOAT001
             """)
         assert findings == []
+
+
+#: Spellings of the two hazards that DET004 (ordering by ``id()``) and
+#: DET007 (``sum`` over parallel-worker results) used to catch, in every
+#: kind of code body.  Each fires exactly one flow finding.
+ONE_CHECK_PER_HAZARD = [
+    pytest.param("FLOW002", """
+        def order(tbs):
+            return min(tbs, key=id)
+        """, id="key-id-min"),
+    pytest.param("FLOW002", """
+        import heapq
+        def order(tbs):
+            return heapq.nsmallest(2, tbs, key=id)
+        """, id="key-id-heapq"),
+    pytest.param("FLOW002", """
+        def outer(tbs):
+            def order():
+                return sorted(tbs, key=lambda t: id(t))
+            return order
+        """, id="lambda-id-in-nested-def"),
+    pytest.param("FLOW002", """
+        XS = [object(), object()]
+        class Registry:
+            ORDER = sorted(XS, key=id)
+        """, id="key-id-in-class-body"),
+    pytest.param("FLOW002", """
+        XS = [object(), object()]
+        def pick(order=sorted(XS, key=id)):
+            return order
+        """, id="key-id-in-default"),
+    pytest.param("FLOW002", """
+        XS = [object(), object()]
+        def register(items):
+            return lambda fn: fn
+        @register(sorted(XS, key=id))
+        def handler():
+            return 1
+        """, id="key-id-in-decorator"),
+    pytest.param("FLOW002", """
+        order = lambda tbs: sorted(tbs, key=id)
+        """, id="key-id-in-lambda"),
+    pytest.param("FLOAT001", """
+        def outer(pool, cases):
+            def total():
+                return sum(pool.map(run, cases))
+            return total
+        """, id="sum-in-nested-def"),
+    pytest.param("FLOAT001", """
+        class Sweeper:
+            def build(self, pool, cases):
+                def total():
+                    return sum(pool.map(run, cases))
+                return total
+        """, id="sum-in-def-nested-in-method"),
+    pytest.param("FLOAT001", """
+        import multiprocessing
+        POOL = multiprocessing.Pool(2)
+        class Totals:
+            ALL = sum(POOL.map(abs, [1.0, -2.0]))
+        """, id="sum-in-class-body"),
+    pytest.param("FLOAT001", """
+        def outer(pool, cases):
+            class Totals:
+                ALL = sum(pool.map(run, cases))
+            return Totals
+        """, id="sum-in-class-defined-in-function"),
+    pytest.param("FLOAT001", """
+        def outer():
+            class Totals:
+                def all(self, pool, cases):
+                    return sum(pool.map(run, cases))
+            return Totals
+        """, id="sum-in-method-of-class-defined-in-function"),
+    pytest.param("FLOAT001", """
+        import multiprocessing
+        POOL = multiprocessing.Pool(2)
+        def report(total=sum(POOL.map(abs, [1.0, -2.0]))):
+            return total
+        """, id="sum-in-default"),
+    pytest.param("FLOAT001", """
+        total = lambda pool, cases: sum(pool.map(run, cases))
+        """, id="sum-in-lambda"),
+    pytest.param("FLOAT001", """
+        def total(pool, cases):
+            return sum(pool.imap(run, cases))
+        """, id="sum-over-imap"),
+    pytest.param("FLOAT001", """
+        def total(pool, cases):
+            return sum(pool.map_async(run, cases))
+        """, id="sum-over-map-async"),
+    pytest.param("FLOAT001", """
+        class Runner:
+            def sweep(self, specs):
+                return list(specs)
+        def total(runner: Runner, specs):
+            return sum(r.ipc for r in runner.sweep(specs))
+        """, id="sum-over-annotated-runner-sweep"),
+    pytest.param("FLOAT001", """
+        class Runner:
+            def sweep(self, specs):
+                return list(specs)
+        def total(specs):
+            return sum(r.ipc for r in Runner().sweep(specs))
+        """, id="sum-over-constructed-runner-sweep"),
+    pytest.param("FLOAT001", """
+        def total(runner, specs):
+            values = [r.ipc for r in runner.sweep(specs)]
+            return sum(values)
+        """, id="sum-over-list-built-from-sweep"),
+]
+
+#: The mediated twins: the same code made deterministic stays quiet.
+MEDIATED_TWINS = [
+    pytest.param("""
+        def outer(tbs):
+            def order():
+                return sorted(tbs, key=lambda t: t.tb_id)
+            return order
+        """, id="stable-key-in-nested-def"),
+    pytest.param("""
+        def id(tb):
+            return tb.tb_id
+        def order(tbs):
+            return sorted(tbs, key=id)
+        """, id="id-rebound-by-the-module"),
+    pytest.param("""
+        def order(tbs, id):
+            return sorted(tbs, key=id)
+        """, id="id-is-a-parameter"),
+    pytest.param("""
+        import math
+        def outer(pool, cases):
+            class Totals:
+                ALL = math.fsum(pool.map(run, cases))
+            return Totals
+        """, id="fsum-in-class-body"),
+    pytest.param("""
+        def total(pool, cases):
+            return sum(sorted(pool.imap_unordered(run, cases)))
+        """, id="sorted-unordered-results"),
+    pytest.param("""
+        def total(xs):
+            return sum(map(float, xs))
+        """, id="builtin-map-is-not-a-worker-pool"),
+]
+
+
+class TestOneCheckPerHazard:
+    @pytest.mark.parametrize("rule, source", ONE_CHECK_PER_HAZARD)
+    def test_fires_exactly_one_flow_finding(self, rule, source):
+        assert rules_of(snippet(source)) == [rule]
+
+    @pytest.mark.parametrize("source", MEDIATED_TWINS)
+    def test_mediated_twin_is_quiet(self, source):
+        assert snippet(source) == []
+
+    def test_the_syntactic_duplicates_are_gone(self):
+        from repro.analysis import all_rules
+        assert not {"DET004", "DET007"} & set(all_rules())
 
 
 class TestTimestampIdentity:
@@ -699,9 +859,9 @@ class TestShippedTreeIsClean:
     def test_every_registered_rule_has_id_and_summary(self):
         from repro.analysis import all_rules
         registry = all_rules()
-        assert {"DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
-                "DET007", "DET008", "LAY001", "LAY002", "LAY003", "SALT001",
-                "SALT002"} <= set(registry)
+        assert {"DET001", "DET002", "DET003", "DET005", "DET006", "DET008",
+                "FLOAT001", "FLOW002", "LAY001", "LAY002", "LAY003",
+                "SALT001", "SALT002"} <= set(registry)
         for rule in registry.values():
             assert rule.summary
             assert rule.scope in ("module", "project")

@@ -69,6 +69,52 @@ class TestSymbolTable:
         info = graph.functions["mod.cached"]
         assert info.decorators == ("wrap", "functools.lru_cache")
 
+    def test_nested_defs_and_local_classes_get_locals_qnames(self):
+        graph = build_callgraph(make_project(mod="""
+            def outer(flag):
+                def helper():
+                    pass
+                if flag:
+                    def in_if():
+                        pass
+                try:
+                    def in_try():
+                        pass
+                except ValueError:
+                    def in_handler():
+                        pass
+                with open("x") as stream:
+                    def in_with():
+                        pass
+
+                class Local:
+                    def method(self):
+                        def deep():
+                            pass
+
+            class Engine:
+                def step(self):
+                    def inner():
+                        pass
+            """))
+        for name in ("helper", "in_if", "in_try", "in_handler", "in_with"):
+            info = graph.functions[f"mod.outer.<locals>.{name}"]
+            assert not info.is_method
+            assert info.enclosing is graph.functions["mod.outer"]
+        assert "mod.outer.<locals>.Local" in graph.classes
+        method = graph.functions["mod.outer.<locals>.Local.method"]
+        assert method.class_qname == "mod.outer.<locals>.Local"
+        assert method.binds_instance
+        assert method.enclosing is graph.functions["mod.outer"]
+        deep = graph.functions["mod.outer.<locals>.Local.method.<locals>.deep"]
+        assert deep.enclosing is method
+        inner = graph.functions["mod.Engine.step.<locals>.inner"]
+        assert inner.enclosing is graph.functions["mod.Engine.step"]
+        # A nested def never shadows a method or a module-level name.
+        assert set(graph.classes["mod.Engine"].methods) == {"step"}
+        assert set(graph.module_scope["mod"]) == {"outer", "Engine"}
+        assert graph.functions["mod.outer"].enclosing is None
+
 
 class TestResolution:
     def test_import_alias_resolves_to_project_function(self):

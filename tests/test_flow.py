@@ -6,8 +6,8 @@ Three layers under test:
   must carry a full source→sink trace in the message, and each positive
   fixture has a *mediated twin* (seeded RNG, ``sorted``, ``math.fsum``)
   that must analyse clean;
-* effect/purity inference (:func:`repro.analysis.flow.classify`) and the
-  EFFECT seam rules, driven by module names the rules anchor on;
+* effect inference (the ``mutates``/``io`` summary facts) and the EFFECT
+  seam rules, driven by module names the rules anchor on;
 * the persistent summary cache: a second run over an unchanged tree
   computes nothing, an edit recomputes only what it must, and the
   findings are identical either way.
@@ -21,8 +21,7 @@ from repro.analysis.callgraph import build_callgraph  # noqa: F401
 from repro.analysis.core import ModuleInfo, Project
 from repro.analysis.driver import (analyze_paths, check_source,
                                    resolve_flow_cache_dir)
-from repro.analysis.flow import (IO, MUTATES_ENGINE, PURE, READS_STATE,
-                                 ProjectFlowAnalysis, classify)
+from repro.analysis.flow import ProjectFlowAnalysis
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -120,6 +119,19 @@ class TestTaintedIdentity:
             """)
         assert rules_of(findings) == ["FLOW001"]
         assert "random.random" in findings[0].message
+
+    def test_fires_inside_a_nested_def(self):
+        findings = flow("""
+            import hashlib
+            import time
+
+            def outer():
+                def key():
+                    return hashlib.sha256(str(time.time()).encode())
+                return key
+            """)
+        assert rules_of(findings) == ["FLOW001"]
+        assert "time.time" in findings[0].message
 
 
 # ------------------------------------------------------------ FLOW002
@@ -233,8 +245,15 @@ class TestFloatAccumulation:
 # ----------------------------------------------------- effect inference
 
 
+def effects(analysis, qname):
+    facts = analysis.facts_for(qname)
+    return sorted(facts.mutates), facts.io
+
+
 class TestEffectInference:
     def test_four_way_classification(self):
+        # The two facts the EFFECT rules read tell mutating and IO
+        # functions apart from pure ones; reading state is no effect.
         analysis = analysis_of("""
             def pure(a, b):
                 return a + b
@@ -248,10 +267,10 @@ class TestEffectInference:
             def logs(x):
                 print(x)
             """)
-        assert analysis.classification("mod.pure") == PURE
-        assert analysis.classification("mod.reads") == READS_STATE
-        assert analysis.classification("mod.mutates") == MUTATES_ENGINE
-        assert analysis.classification("mod.logs") == IO
+        assert effects(analysis, "mod.pure") == ([], False)
+        assert effects(analysis, "mod.reads") == ([], False)
+        assert effects(analysis, "mod.mutates") == (["param:engine"], False)
+        assert effects(analysis, "mod.logs") == ([], True)
 
     def test_mutation_maps_through_call_summaries(self):
         analysis = analysis_of("""
@@ -273,7 +292,7 @@ class TestEffectInference:
                 for row in rows:
                     emit(row)
             """)
-        assert analysis.classification("mod.outer") == IO
+        assert effects(analysis, "mod.outer") == ([], True)
 
     def test_local_mutation_stays_local(self):
         analysis = analysis_of("""
@@ -283,7 +302,26 @@ class TestEffectInference:
                     out.append(i)
                 return out
             """)
-        assert analysis.classification("mod.build") == PURE
+        assert effects(analysis, "mod.build") == ([], False)
+
+    def test_closure_mutation_is_local_global_mutation_is_not(self):
+        analysis = analysis_of("""
+            NOTES = []
+
+            def outer(rows):
+                seen = []
+                def note(row):
+                    seen.append(row)
+                for row in rows:
+                    note(row)
+                return seen
+
+            def log(row):
+                NOTES.append(row)
+            """)
+        assert "mod.outer.<locals>.note" in analysis.facts
+        assert effects(analysis, "mod.outer.<locals>.note") == ([], False)
+        assert effects(analysis, "mod.log") == (["global"], False)
 
 
 # ----------------------------------------------------- EFFECT rules
