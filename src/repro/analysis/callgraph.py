@@ -18,10 +18,13 @@ builds that statically from a :class:`~repro.analysis.core.Project`:
   project-local bases, constructor calls (``Foo()`` →
   ``Foo.__init__``), ``super().method()``, and — when the caller passes
   ``local_types`` (the flow engine's variable→class bindings) —
-  ``obj.method()`` on variables of statically known class;
-* caller/callee edges (:meth:`CallGraph.callers_of`) that the
-  interprocedural fixpoint in :mod:`repro.analysis.flow` uses as its
-  worklist schedule.
+  ``obj.method()`` on variables of statically known class, and a bare
+  call to a def or class an enclosing function binds (``helper()`` in
+  ``outer`` → ``outer.<locals>.helper``).
+
+The flow engine resolves every call through its memoised
+:meth:`~repro.analysis.flow.ProjectFlowAnalysis.resolve`, which also
+records the caller edges its fixpoint schedules by.
 
 Resolution is deliberately best-effort: anything it cannot pin down comes
 back as an ``unknown-method`` / ``unknown`` target and the flow engine
@@ -35,7 +38,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.analysis.core import ModuleInfo, Project, dotted_name
+from repro.analysis.core import ModuleInfo, Project, dotted_name, scope_walk
 
 #: Decorators that change how a def's parameters bind.
 _STATIC_DECORATORS = {"staticmethod"}
@@ -164,7 +167,6 @@ class CallGraph:
         self.module_scope: Dict[str, Dict[str, str]] = {}
         for module in project.modules:
             self._index_module(module)
-        self._callers: Optional[Dict[str, Set[str]]] = None
 
     # ------------------------------------------------------------- indexing
 
@@ -284,6 +286,15 @@ class CallGraph:
         if dotted is None:
             return CallTarget("unknown", "")
         head, _, rest = dotted.partition(".")
+        # helper() where an enclosing function defines helper
+        scope = enclosing if not rest else None
+        while scope is not None:
+            local = f"{scope.qname}.<locals>.{head}"
+            if local in self.functions:
+                return CallTarget("function", local)
+            if local in self.classes:
+                return CallTarget("constructor", local)
+            scope = scope.enclosing
         # self.method() / cls.method()
         if (enclosing is not None and enclosing.class_qname
                 and rest and "." not in rest
@@ -365,7 +376,8 @@ class CallGraph:
         (``ctx = PolicyContext(engine)``) in one function.
 
         Conservative single-binding contract: a name rebound to anything
-        that is not the same constructor is dropped.
+        that is not the same constructor is dropped.  Nested defs and
+        classes bind their own names, so their bodies are not read.
         """
         types: Dict[str, str] = {}
         dropped: Set[str] = set()
@@ -377,7 +389,7 @@ class CallGraph:
             qname = self._annotation_class(info.module, arg.annotation)
             if qname is not None:
                 types[arg.arg] = qname
-        for node in ast.walk(info.node):
+        for node in scope_walk(info.node.body):
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
                 continue
             target = node.targets[0]
@@ -397,29 +409,6 @@ class CallGraph:
                 types[target.id] = qname
         return {name: qname for name, qname in types.items()
                 if name not in dropped}
-
-    def iter_calls(self, info: FunctionInfo) -> Iterator[
-            Tuple[ast.Call, CallTarget]]:
-        """Every call expression in a function body with its resolution."""
-        local_types = self.local_types_for(info)
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call):
-                yield node, self.resolve_call(info.module, node,
-                                              enclosing=info,
-                                              local_types=local_types)
-
-    def callers_of(self, qname: str) -> Set[str]:
-        """Qualified names of functions whose bodies may call ``qname``."""
-        if self._callers is None:
-            callers: Dict[str, Set[str]] = {}
-            for caller in self.functions.values():
-                for _node, target in self.iter_calls(caller):
-                    body = self.callee_body(target)
-                    if body is not None:
-                        callers.setdefault(body.qname, set()).add(
-                            caller.qname)
-            self._callers = callers
-        return self._callers.get(qname, set())
 
     def functions_of_module(self, module_name: str) -> List[FunctionInfo]:
         return [info for info in self.functions.values()

@@ -4,11 +4,12 @@ The analyzer is a small AST-walking lint framework purpose-built for this
 reproduction's invariants (see :mod:`repro.analysis.rules`):
 
 * :class:`ModuleInfo` — one parsed source file: its dotted module name,
-  AST (with a lazily-built parent map), import-alias table and per-line
-  ``# repro: noqa=RULE`` suppressions;
+  AST, the node index every rule reads (one walk of the tree, with each
+  node's enclosing scope), the import table, a lazily-built parent map
+  and per-line ``# repro: noqa=RULE`` suppressions;
 * :class:`Project` — every analyzed module, addressable by dotted name,
-  which is what cross-module rules (cache-salt coverage, telemetry schema
-  sync) operate on;
+  with the project-import closure that cross-module rules (cache-salt
+  coverage) and the flow summary cache share;
 * :class:`Rule` — base class; a rule either checks one module at a time
   (``scope = "module"``) or the whole project (``scope = "project"``) and
   yields :class:`Finding`\\ s;
@@ -26,7 +27,8 @@ import ast
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 #: Severity labels.  ``ERROR`` findings are invariant violations; ``WARNING``
 #: findings are hazards that may be legitimate but deserve a look (both fail
@@ -40,6 +42,12 @@ ALL_RULES = "*"
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\s*=\s*(?P<rules>[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*))?")
+
+#: Nodes that open a scope of their own for the index and the body walks.
+SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: One row of :attr:`ModuleInfo.imports`: ``(bound, origin, module, line)``.
+ImportRow = Tuple[Optional[str], str, str, int]
 
 
 @dataclass(frozen=True)
@@ -69,20 +77,50 @@ class ModuleInfo:
         #: Dotted module name (``repro.sim.engine``), derived from the
         #: ``__init__.py`` chain above the file.
         self.name = name
+        self._nodes: Optional[List[ast.AST]] = None
+        self._scopes: Optional[List[ast.AST]] = None
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
+        self._imports: Optional[List[ImportRow]] = None
         self._aliases: Optional[Dict[str, str]] = None
         self._noqa: Optional[Dict[int, frozenset]] = None
 
-    # ------------------------------------------------------------ AST helpers
+    # ------------------------------------------------------------ node index
+
+    @property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order.  Rules read this
+        instead of walking the tree themselves."""
+        if self._nodes is None:
+            self._index()
+        return self._nodes
+
+    @property
+    def scopes(self) -> List[ast.AST]:
+        """Parallel to :attr:`nodes`: the scope each node belongs to, the
+        nearest def or class strictly above it, else the module root.  A
+        def's decorators and defaults belong to the def's scope."""
+        if self._scopes is None:
+            self._index()
+        return self._scopes
+
+    def _index(self) -> None:
+        """Build :attr:`nodes` and :attr:`scopes` in one breadth-first
+        walk (the list grows while it is read)."""
+        nodes: List[ast.AST] = [self.tree]
+        scopes: List[ast.AST] = [self.tree]
+        for index, node in enumerate(nodes):
+            scope = node if isinstance(node, SCOPE_NODES) else scopes[index]
+            for child in ast.iter_child_nodes(node):
+                nodes.append(child)
+                scopes.append(scope)
+        self._nodes, self._scopes = nodes, scopes
 
     def parent_of(self, node: ast.AST) -> Optional[ast.AST]:
-        """The syntactic parent of ``node`` (None for the module root)."""
+        """The syntactic parent of ``node`` (None for the module root);
+        the map is built from the index on first use."""
         if self._parents is None:
-            parents: Dict[ast.AST, ast.AST] = {}
-            for parent in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(parent):
-                    parents[child] = parent
-            self._parents = parents
+            self._parents = {child: parent for parent in self.nodes
+                             for child in ast.iter_child_nodes(parent)}
         return self._parents.get(node)
 
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
@@ -91,34 +129,50 @@ class ModuleInfo:
             yield current
             current = self.parent_of(current)
 
-    @property
-    def aliases(self) -> Dict[str, str]:
-        """Local name -> absolute dotted origin, from import statements.
+    # --------------------------------------------------------------- imports
 
-        ``import numpy as np`` maps ``np -> numpy``; ``from time import
-        time as now`` maps ``now -> time.time``.  Bare ``import a.b``
-        binds only ``a``, which maps to itself.
-        """
-        if self._aliases is None:
-            aliases: Dict[str, str] = {}
-            for node in ast.walk(self.tree):
+    @property
+    def imports(self) -> List[ImportRow]:
+        """The import table, one row per imported name in walk order:
+        the local name bound (None for ``*``), the absolute dotted name it
+        stands for, the absolute name imported, and the line.  ``import
+        a.b`` binds ``a`` to ``a`` and imports ``a.b``; ``from pkg import
+        name`` imports ``pkg.name``, a module or a symbol of ``pkg``."""
+        if self._imports is None:
+            table: List[ImportRow] = []
+            for node in self.nodes:
                 if isinstance(node, ast.Import):
                     for alias in node.names:
-                        if alias.asname:
-                            aliases[alias.asname] = alias.name
-                        else:
-                            head = alias.name.split(".")[0]
-                            aliases[head] = head
+                        head = alias.name.split(".")[0]
+                        table.append((alias.asname or head,
+                                      alias.name if alias.asname else head,
+                                      alias.name, node.lineno))
                 elif isinstance(node, ast.ImportFrom):
                     base = self.resolve_import_from(node)
                     if base is None:
                         continue
                     for alias in node.names:
                         if alias.name == "*":
-                            continue
-                        aliases[alias.asname or alias.name] = (
-                            f"{base}.{alias.name}")
-            self._aliases = aliases
+                            table.append((None, base, base, node.lineno))
+                        else:
+                            origin = f"{base}.{alias.name}"
+                            table.append((alias.asname or alias.name,
+                                          origin, origin, node.lineno))
+            self._imports = table
+        return self._imports
+
+    @property
+    def aliases(self) -> Dict[str, str]:
+        """Local name -> absolute dotted origin, from the import table.
+
+        ``import numpy as np`` maps ``np -> numpy``; ``from time import
+        time as now`` maps ``now -> time.time``.  Bare ``import a.b``
+        binds only ``a``, which maps to itself.
+        """
+        if self._aliases is None:
+            self._aliases = {bound: origin
+                             for bound, origin, _module, _line in self.imports
+                             if bound is not None}
         return self._aliases
 
     def resolve_import_from(self, node: ast.ImportFrom) -> Optional[str]:
@@ -141,23 +195,11 @@ class ModuleInfo:
 
         ``from pkg import name`` is reported as ``pkg.name`` *and* ``pkg``
         cannot be distinguished statically, so the caller gets the joined
-        form; consumers that care (the salt-coverage closure) try the
-        joined form first and fall back to the base module.
+        form; consumers that care (the import closure) try the joined
+        form first and fall back to the base module.
         """
-        found: List[Tuple[str, int]] = []
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                found.extend((alias.name, node.lineno) for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                base = self.resolve_import_from(node)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    if alias.name == "*":
-                        found.append((base, node.lineno))
-                    else:
-                        found.append((f"{base}.{alias.name}", node.lineno))
-        return found
+        return [(module, line)
+                for _bound, _origin, module, line in self.imports]
 
     def resolved_call_name(self, node: ast.Call) -> Optional[str]:
         """Absolute dotted name of a call target, or None.
@@ -209,12 +251,40 @@ class Project:
             module.name: module for module in self.modules}
         self.by_display: Dict[str, ModuleInfo] = {
             module.display: module for module in self.modules}
+        self._closure: Optional[Dict[str, Set[str]]] = None
 
     def module(self, name: str) -> Optional[ModuleInfo]:
         return self.by_name.get(name)
 
-    def has_module(self, name: str) -> bool:
-        return name in self.by_name
+    @property
+    def import_closure(self) -> Dict[str, Set[str]]:
+        """Display path -> display paths of every analyzed module it
+        imports, directly or transitively (computed once per project).
+        ``from pkg.mod import name`` tries module ``pkg.mod.name``, then
+        ``pkg.mod``.  An iterated union, not a visited-guarded walk, so a
+        module in an import cycle sees the whole cycle in any set order."""
+        if self._closure is None:
+            closure: Dict[str, Set[str]] = {}
+            for module in self.modules:
+                deps: Set[str] = set()
+                for dotted, _line in module.imported_modules():
+                    dep = (self.module(dotted)
+                           or self.module(dotted.rpartition(".")[0]))
+                    if dep is not None and dep.display != module.display:
+                        deps.add(dep.display)
+                closure[module.display] = deps
+            changed = True
+            while changed:
+                changed = False
+                for deps in closure.values():
+                    extra: Set[str] = set()
+                    for dep in sorted(deps):
+                        extra |= closure[dep]
+                    if not extra <= deps:
+                        deps |= extra
+                        changed = True
+            self._closure = closure
+        return self._closure
 
 
 class Rule:
@@ -273,6 +343,18 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
+
+
+def scope_walk(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
+    """Every node of one code body, depth first from its last statement,
+    skipping nested defs and classes whole: they are scopes of their own."""
+    stack: List[ast.AST] = [node for node in body
+                            if not isinstance(node, SCOPE_NODES)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, SCOPE_NODES))
 
 
 def attribute_base(node: ast.AST) -> Optional[str]:

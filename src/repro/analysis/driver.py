@@ -183,27 +183,34 @@ def analyze_paths(paths: Sequence[pathlib.Path],
                                        enabled=flow_cache)
     if cache_dir is not None:
         project.flow_cache_dir = cache_dir
-    raw: List[Finding] = []
-    for rule in rules:
-        if rule.scope == "project":
-            raw.extend(rule.check_project(project))
-        else:
-            for module in project.modules:
-                raw.extend(rule.check_module(module))
     result = AnalysisResult(modules=project.modules)
+    run_rules(rules, project, result)
     flow = getattr(project, "_flow_analysis", None)
     if flow is not None:
         result.flow_stats = dict(flow.stats)
     result.findings.extend(parse_findings)
-    for finding in raw:
-        module = project.by_display.get(finding.path)
-        if module is not None and module.suppresses(finding):
-            result.suppressed.append(finding)
-        else:
-            result.findings.append(finding)
     result.findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     result.suppressed.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return result
+
+
+def run_rules(rules: Sequence[Rule], project: Project,
+              result: AnalysisResult) -> None:
+    """Run ``rules`` over ``project``, adding each finding to
+    ``result.findings`` or, when a noqa comment covers it, to
+    ``result.suppressed``."""
+    for rule in rules:
+        if rule.scope == "project":
+            raw: Iterable[Finding] = rule.check_project(project)
+        else:
+            raw = (finding for module in project.modules
+                   for finding in rule.check_module(module))
+        for finding in raw:
+            module = project.by_display.get(finding.path)
+            if module is not None and module.suppresses(finding):
+                result.suppressed.append(finding)
+            else:
+                result.findings.append(finding)
 
 
 def check_source(source: str, path: str = "snippet.py",
@@ -216,13 +223,6 @@ def check_source(source: str, path: str = "snippet.py",
     tree = ast.parse(source, filename=path)
     module = ModuleInfo(path=pathlib.Path(path), display=path, source=source,
                         tree=tree, name=name or pathlib.Path(path).stem)
-    project = Project([module])
-    findings: List[Finding] = []
-    for rule in rules:
-        if rule.scope == "project":
-            findings.extend(rule.check_project(project))
-        else:
-            findings.extend(rule.check_module(module))
-    return sorted(
-        (finding for finding in findings if not module.suppresses(finding)),
-        key=lambda f: (f.line, f.rule, f.message))
+    result = AnalysisResult(modules=[module])
+    run_rules(rules, Project([module]), result)
+    return sorted(result.findings, key=lambda f: (f.line, f.rule, f.message))

@@ -11,15 +11,19 @@ both the local findings *and* the function's :class:`FunctionFacts`
 summary: what it returns (in terms of its parameters and of fresh
 sources), which parameters flow into which sinks inside it, and its
 effects (mutates / IO).  An interprocedural fixpoint
-(:class:`ProjectFlowAnalysis`) iterates summaries to convergence using
-:meth:`~repro.analysis.callgraph.CallGraph.callers_of` as its schedule,
-then takes one reporting pass that materialises findings with full
-source→sink traces.
+(:class:`ProjectFlowAnalysis`) iterates summaries to convergence: every
+call resolves once, through :meth:`ProjectFlowAnalysis.resolve`, which
+records the caller edge, and a function whose summary changes re-queues
+its recorded callers.  One reporting pass then materialises findings
+with full source→sink traces.
 
 Every code body is read: functions and methods at any depth (a nested
 def gets a summary of its own), class bodies, lambda bodies and the
 module top level.  Decorators, default values and class bases are
-evaluated in the body that runs them, the enclosing one.
+evaluated in the body that runs them, the enclosing one.  A function
+reaches a nested def's effects and taint only by calling it: a bare
+call to a def or class an enclosing function binds resolves to its
+``<locals>`` name.
 
 Sanitizers are modeled, not pattern-matched: ``sorted(...)`` strips
 order provenance, ``math.fsum(...)`` makes a float reduction
@@ -32,9 +36,8 @@ keyed by a content hash of the module, its project-import closure, and
 the analyzer itself; a warm ``repro lint`` recomputes only what changed.
 
 Everything here is stdlib-only and best-effort: unknown calls
-conservatively merge their argument taints, unknown receivers fall back
-to name heuristics, and a call from a function into its own nested def
-stays unresolved.
+conservatively merge their argument taints, and unknown receivers fall
+back to name heuristics.
 """
 
 from __future__ import annotations
@@ -43,17 +46,18 @@ import ast
 import hashlib
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import (
     CallGraph,
     CallTarget,
     FunctionInfo,
+    _defs_in,
     _function_params,
     build_callgraph,
 )
-from repro.analysis.core import ModuleInfo, Project, dotted_name
+from repro.analysis.core import ModuleInfo, Project, dotted_name, scope_walk
 
 # NOTE: rules/__init__ imports determinism before the flow rules, so these
 # tables are always initialised by the time this module loads.
@@ -106,7 +110,7 @@ _SANITIZER_DOC = ("wrap in sorted(...), accumulate with math.fsum(...), "
                   "or seed the source")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Tag:
     """One unit of provenance attached to an abstract value."""
 
@@ -132,17 +136,6 @@ class Tag:
         parts.extend(self.trace)
         parts.append(sink)
         return " -> ".join(parts)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "desc": self.desc, "path": self.path,
-                "line": self.line, "trace": list(self.trace),
-                "param": self.param}
-
-    @staticmethod
-    def from_dict(payload: dict) -> "Tag":
-        return Tag(payload["kind"], payload["desc"], payload["path"],
-                   payload["line"], tuple(payload["trace"]),
-                   payload["param"])
 
 
 def normalize_tags(taints) -> frozenset:
@@ -193,7 +186,7 @@ def union_values(values: Sequence[AbsValue]) -> AbsValue:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ParamSink:
     """"Parameter ``param`` reaches sink ``sink`` inside this function"."""
 
@@ -203,17 +196,6 @@ class ParamSink:
     path: str
     line: int
     trace: Tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {"param": self.param, "rule": self.rule, "sink": self.sink,
-                "path": self.path, "line": self.line,
-                "trace": list(self.trace)}
-
-    @staticmethod
-    def from_dict(payload: dict) -> "ParamSink":
-        return ParamSink(payload["param"], payload["rule"], payload["sink"],
-                         payload["path"], payload["line"],
-                         tuple(payload["trace"]))
 
 
 @dataclass(frozen=True)
@@ -231,26 +213,26 @@ class FunctionFacts:
     mutates: frozenset = frozenset()
 
     def to_dict(self) -> dict:
+        """JSON form, lists sorted on every field so that equal facts
+        serialize to equal bytes under any hash seed."""
         return {
-            "ret_taints": [tag.to_dict() for tag in sorted(
-                self.ret.taints, key=lambda t: (t.path, t.line, t.kind,
-                                                t.desc, t.param))],
+            "ret_taints": [asdict(tag) for tag in sorted(self.ret.taints)],
             "ret_shapes": sorted(self.ret.shapes),
-            "param_sinks": [sink.to_dict() for sink in sorted(
-                self.param_sinks,
-                key=lambda s: (s.param, s.rule, s.path, s.line))],
+            "param_sinks": [asdict(sink) for sink in sorted(self.param_sinks)],
             "io": self.io,
             "mutates": sorted(self.mutates),
         }
 
     @staticmethod
     def from_dict(payload: dict) -> "FunctionFacts":
+        def load(record_type, fields: dict):
+            return record_type(**dict(fields, trace=tuple(fields["trace"])))
+
         return FunctionFacts(
             ret=AbsValue(
-                frozenset(Tag.from_dict(tag)
-                          for tag in payload["ret_taints"]),
+                frozenset(load(Tag, tag) for tag in payload["ret_taints"]),
                 frozenset(payload["ret_shapes"])),
-            param_sinks=frozenset(ParamSink.from_dict(sink)
+            param_sinks=frozenset(load(ParamSink, sink)
                                   for sink in payload["param_sinks"]),
             io=payload["io"],
             mutates=frozenset(payload["mutates"]))
@@ -1180,18 +1162,11 @@ _OWNING_BUILTINS = frozenset({
 def _bound_names(info: FunctionInfo) -> Set[str]:
     """The names a function binds: its parameters, the targets it stores
     to and the defs and classes it defines (not their bodies)."""
-    names = set(info.params)
-    stack: List[ast.AST] = list(info.node.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names.add(node.name)
-            continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        stack.extend(ast.iter_child_nodes(node))
-    return names
+    body = info.node.body
+    stored = {node.id for node in scope_walk(body)
+              if isinstance(node, ast.Name)
+              and isinstance(node.ctx, ast.Store)}
+    return set(info.params) | stored | {stmt.name for stmt in _defs_in(body)}
 
 
 class _EffectWalker:
@@ -1211,14 +1186,16 @@ class _EffectWalker:
             outer = outer.enclosing
 
     def run(self) -> Tuple[bool, frozenset]:
+        """Effects of the body itself; a nested def or class counts only
+        where the body calls it, through that callee's summary."""
         body = self.info.node.body
-        for node in self._walk(body):
+        for node in scope_walk(body):
             if isinstance(node, ast.Global):
                 self.globals_declared.update(node.names)
         self._solve_roots(body)
         io = False
         mutates: Set[str] = set()
-        for node in self._walk(body):
+        for node in scope_walk(body):
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign,
                                  ast.Delete)):
                 targets = getattr(node, "targets", None) or \
@@ -1233,21 +1210,9 @@ class _EffectWalker:
                 mutates |= call_mutates
         return io, frozenset(mutates)
 
-    def _walk(self, body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
-        """Walk the function body without descending into nested defs."""
-        stack: List[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            yield node
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef, ast.ClassDef)):
-                    continue
-                stack.append(child)
-
     def _solve_roots(self, body: Sequence[ast.stmt]) -> None:
         assignments: List[Tuple[str, ast.AST]] = []
-        for node in self._walk(body):
+        for node in scope_walk(body):
             if isinstance(node, ast.Assign):
                 # Only plain name (re)bindings alias their value; storing
                 # into ``container[k]`` / ``obj.attr`` does not make the
@@ -1441,6 +1406,10 @@ class ProjectFlowAnalysis:
         self.module_findings: Dict[str, List[dict]] = {}
         self.stats = {"modules": len(project.modules), "computed": 0,
                       "cached": 0}
+        #: Callee qname -> qnames of the functions whose bodies call it,
+        #: as far as resolution has reached (every summarised function's
+        #: calls are resolved).
+        self.callers: Dict[str, Set[str]] = {}
         self._cfgs: Dict[str, _CFG] = {}
         self._types: Dict[str, Dict[str, str]] = {}
         self._resolved: Dict[int, CallTarget] = {}
@@ -1452,12 +1421,16 @@ class ProjectFlowAnalysis:
                 info: Optional[FunctionInfo],
                 local_types: Mapping[str, str]) -> CallTarget:
         """Memoised call resolution (a call node resolves once; the
-        fixpoint revisits functions many times)."""
+        fixpoint revisits functions many times).  A call from a function
+        body into a project body records the caller edge."""
         target = self._resolved.get(id(call))
         if target is None:
             target = self.callgraph.resolve_call(
                 module, call, enclosing=info, local_types=local_types)
             self._resolved[id(call)] = target
+            callee = self.callgraph.callee_body(target)
+            if callee is not None and info is not None:
+                self.callers.setdefault(callee.qname, set()).add(info.qname)
         return target
 
     def cfg_for(self, qname: str, body: Sequence[ast.stmt]) -> _CFG:
@@ -1503,47 +1476,16 @@ class ProjectFlowAnalysis:
             module.display: hashlib.sha256(
                 module.source.encode()).hexdigest()
             for module in self.project.modules}
-        direct: Dict[str, Set[str]] = {}
-        for module in self.project.modules:
-            deps: Set[str] = set()
-            for dotted, _line in module.imported_modules():
-                dep = self.project.module(dotted)
-                if dep is None:
-                    # ``from pkg.mod import name`` reports pkg.mod.name
-                    # for some spellings; try the parent too.
-                    dep = self.project.module(dotted.rpartition(".")[0])
-                if dep is not None and dep.display != module.display:
-                    deps.add(dep.display)
-            direct[module.display] = deps
-        # Transitive closure by iterated union: a recursive walk with a
-        # visited guard would truncate closures at import-cycle
-        # back-edges depending on traversal order, making the cache key
-        # vary with per-process set iteration order.
-        closures: Dict[str, Set[str]] = {
-            display: set(deps) for display, deps in direct.items()}
-        changed = True
-        while changed:
-            changed = False
-            for deps in closures.values():
-                extra: Set[str] = set()
-                for dep in sorted(deps):
-                    extra |= closures.get(dep, set())
-                if not extra <= deps:
-                    deps |= extra
-                    changed = True
-
-        def closure(display: str) -> Set[str]:
-            return closures.get(display, set())
-
+        closure = self.project.import_closure
         salt = analysis_salt()
         keys: Dict[str, str] = {}
         for module in self.project.modules:
             digest = hashlib.sha256()
             digest.update(salt.encode())
             digest.update(source_hash[module.display].encode())
-            for dep in sorted(closure(module.display)):
+            for dep in sorted(closure[module.display]):
                 digest.update(dep.encode())
-                digest.update(source_hash.get(dep, "").encode())
+                digest.update(source_hash[dep].encode())
             keys[module.display] = digest.hexdigest()
         return keys
 
@@ -1587,7 +1529,11 @@ class ProjectFlowAnalysis:
             facts = self._summarise(info)
             if facts != self.facts.get(info.qname):
                 self.facts[info.qname] = facts
-                for caller in self.callgraph.callers_of(info.qname):
+                # A caller not summarised yet is still queued, so the
+                # edges resolution has recorded so far are enough.  They
+                # are pushed so that they pop in sorted order.
+                for caller in sorted(self.callers.get(info.qname, ()),
+                                     reverse=True):
                     if caller in recompute and caller not in queued:
                         queued.add(caller)
                         pending.append(by_qname[caller])

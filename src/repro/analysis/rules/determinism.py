@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.core import (
     ERROR,
@@ -71,6 +71,18 @@ _LISTING_CALLS = {
 _LISTING_METHODS = {"glob", "rglob", "iterdir"}
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _iterables(node: ast.AST) -> List[ast.expr]:
+    """What a ``for`` statement or a comprehension iterates over."""
+    if isinstance(node, ast.For):
+        return [node.iter]
+    if isinstance(node, _COMPREHENSIONS):
+        return [generator.iter for generator in node.generators]
+    return []
+
+
 def _sorted_ancestor(module: ModuleInfo, node: ast.AST) -> bool:
     """True when ``node`` sits (at any depth) inside a ``sorted(...)`` call."""
     for ancestor in module.ancestors(node):
@@ -91,7 +103,7 @@ class WallClockRule(Rule):
                "not depend on when a run happens")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = module.resolved_call_name(node)
@@ -113,7 +125,7 @@ class UnseededRandomRule(Rule):
                "numpy default_rng(seed) so runs replay bit-identically")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = module.resolved_call_name(node)
@@ -196,44 +208,30 @@ class SetIterationRule(Rule):
                "wrap in sorted(...) before it can feed any decision")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        yield from self._check_scope(module, module.tree)
-
-    def _check_scope(self, module: ModuleInfo,
-                     scope_node: ast.AST) -> Iterator[Finding]:
-        scope = _SetScope()
-        body_nodes = []
-        nested = []
-        stack = list(ast.iter_child_nodes(scope_node))
-        while stack:
-            node = stack.pop(0)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                nested.append(node)
-                continue
-            body_nodes.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        for node in body_nodes:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                scope.observe(node.targets[0], node.value)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                scope.observe(node.target, node.value)
-        for node in body_nodes:
-            iterables = []
-            if isinstance(node, ast.For):
-                iterables.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iterables.extend(gen.iter for gen in node.generators)
-            for iterable in iterables:
-                if (_is_setish_expr(iterable, scope)
-                        and not _sorted_ancestor(module, iterable)):
-                    yield self.finding(
-                        module, iterable.lineno,
-                        "iterating over a set is order-nondeterministic "
-                        "under hash randomisation; iterate sorted(...) "
-                        "instead")
-        for node in nested:
-            yield from self._check_scope(module, node)
+        # Each scope's assignments and loops, in walk order: ``b = a``
+        # makes b set-ish only when a's assignment was seen first.
+        by_scope: Dict[ast.AST, List[ast.AST]] = {}
+        for node, scope_node in zip(module.nodes, module.scopes):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.For)
+                          + _COMPREHENSIONS):
+                by_scope.setdefault(scope_node, []).append(node)
+        for body_nodes in by_scope.values():
+            scope = _SetScope()
+            for node in body_nodes:
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    scope.observe(node.targets[0], node.value)
+                elif (isinstance(node, ast.AnnAssign)
+                      and node.value is not None):
+                    scope.observe(node.target, node.value)
+            for node in body_nodes:
+                for iterable in _iterables(node):
+                    if (_is_setish_expr(iterable, scope)
+                            and not _sorted_ancestor(module, iterable)):
+                        yield self.finding(
+                            module, iterable.lineno,
+                            "iterating over a set is order-nondeterministic"
+                            " under hash randomisation; iterate sorted(...)"
+                            " instead")
 
 
 @register
@@ -244,7 +242,7 @@ class FilesystemOrderRule(Rule):
                "glob / Path.glob in sorted(...)")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = module.resolved_call_name(node)
@@ -273,14 +271,8 @@ class DictKeysIterationRule(Rule):
                "the loop feeds an ordering decision")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            iterables = []
-            if isinstance(node, ast.For):
-                iterables.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iterables.extend(gen.iter for gen in node.generators)
-            for iterable in iterables:
+        for node in module.nodes:
+            for iterable in _iterables(node):
                 if (isinstance(iterable, ast.Call)
                         and isinstance(iterable.func, ast.Attribute)
                         and iterable.func.attr == "keys"
@@ -325,7 +317,7 @@ class TimestampIdentityRule(Rule):
                "a digest/hash/key payload")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
                     and _SQL_VERB.search(node.value)):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.analysis.core import (
     ERROR,
@@ -165,21 +165,27 @@ def _context_param_names(function: ast.AST) -> Set[str]:
 
 
 class _ContextSeamRule(Rule):
-    """Shared traversal: visit every function in policy-side modules that
-    takes a PolicyContext and run :meth:`check_function` over its body."""
+    """Shared traversal: in policy-side modules, run :meth:`check_node`
+    over every node that a def taking a PolicyContext encloses, once,
+    with the context names of all its enclosing defs (a nested def sees
+    its outer function's ``ctx`` too)."""
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if not _is_policy_side(module.name):
             return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            ctx_names = _context_param_names(node)
-            if ctx_names:
-                yield from self.check_function(module, node, ctx_names)
+        # Walk order reaches each def before anything in its scope.
+        ctx_in: Dict[ast.AST, FrozenSet[str]] = {module.tree: frozenset()}
+        for node, scope in zip(module.nodes, module.scopes):
+            ctx_names = ctx_in[scope]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                ctx_in[node] = ctx_names | _context_param_names(node)
+            elif isinstance(node, ast.ClassDef):
+                ctx_in[node] = ctx_names
+            elif ctx_names:
+                yield from self.check_node(module, node, ctx_names)
 
-    def check_function(self, module: ModuleInfo, function: ast.AST,
-                       ctx_names: Set[str]) -> Iterator[Finding]:
+    def check_node(self, module: ModuleInfo, node: ast.AST,
+                   ctx_names: FrozenSet[str]) -> Iterator[Finding]:
         raise NotImplementedError
 
 
@@ -191,23 +197,22 @@ class ContextAttributeAssignmentRule(_ContextSeamRule):
                "through its methods (set_quota, set_tb_target, ...), never "
                "by poking state into the view")
 
-    def check_function(self, module: ModuleInfo, function: ast.AST,
-                       ctx_names: Set[str]) -> Iterator[Finding]:
-        for node in ast.walk(function):
-            targets: List[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                if (isinstance(target, ast.Attribute)
-                        and attribute_base(target) in ctx_names):
-                    yield self.finding(
-                        module, target.lineno,
-                        f"assigns {ast.unparse(target)}: policies must "
-                        "actuate through PolicyContext methods (set_quota, "
-                        "set_tb_target, request_preemption, ...), never by "
-                        "writing attributes into the context")
+    def check_node(self, module: ModuleInfo, node: ast.AST,
+                   ctx_names: FrozenSet[str]) -> Iterator[Finding]:
+        targets: List[ast.AST] = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            if (isinstance(target, ast.Attribute)
+                    and attribute_base(target) in ctx_names):
+                yield self.finding(
+                    module, target.lineno,
+                    f"assigns {ast.unparse(target)}: policies must "
+                    "actuate through PolicyContext methods (set_quota, "
+                    "set_tb_target, request_preemption, ...), never by "
+                    "writing attributes into the context")
 
 
 @register
@@ -217,17 +222,16 @@ class ContextPrivateAccessRule(_ContextSeamRule):
     summary = ("underscore-private access on a PolicyContext (e.g. "
                "ctx._engine): use the public observation surface")
 
-    def check_function(self, module: ModuleInfo, function: ast.AST,
-                       ctx_names: Set[str]) -> Iterator[Finding]:
-        for node in ast.walk(function):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr.startswith("_")
-                    and not node.attr.startswith("__")
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in ctx_names):
-                yield self.finding(
-                    module, node.lineno,
-                    f"touches private PolicyContext internals "
-                    f"({node.value.id}.{node.attr}); only the public "
-                    "observation/actuation surface is part of the "
-                    "engine-policy contract")
+    def check_node(self, module: ModuleInfo, node: ast.AST,
+                   ctx_names: FrozenSet[str]) -> Iterator[Finding]:
+        if (isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ctx_names):
+            yield self.finding(
+                module, node.lineno,
+                f"touches private PolicyContext internals "
+                f"({node.value.id}.{node.attr}); only the public "
+                "observation/actuation surface is part of the "
+                "engine-policy contract")

@@ -7,17 +7,17 @@ that can change simulation outcomes is missing from that list, editing it
 leaves the salt unchanged and the cache silently serves stale results:
 exactly the failure a reproduction cannot afford.
 
-``SALT001`` rebuilds the ground truth statically: it takes the transitive
-import closure of the result-producing roots (``repro.sim.engine``,
-``repro.harness.runner`` and ``repro.serve.runner`` — co-run and serving
-results are cached under the same salt) over the analyzed tree, expands
-``_SALTED``
-against the same tree, and flags every closure module whose source file the
-salt does not cover.  ``SALT002`` flags salt entries that no longer exist
-on disk (a stale entry is dead weight and usually means a rename slipped
-through).  Both read the ``_SALTED`` tuple from the *analyzed* AST — not
-the imported package — so fixture trees and mid-refactor checkouts lint
-correctly.
+``SALT001`` rebuilds the ground truth statically: it takes the ``repro``
+modules in the transitive import closure of the result-producing roots
+(``repro.sim.engine``, ``repro.harness.runner`` and ``repro.serve.runner``
+— co-run and serving results are cached under the same salt), as
+:attr:`~repro.analysis.core.Project.import_closure` computes it over the
+analyzed tree, expands ``_SALTED`` against the same tree, and flags every
+closure module whose source file the salt does not cover.  ``SALT002``
+flags salt entries that no longer exist on disk (a stale entry is dead
+weight and usually means a rename slipped through).  Both read the
+``_SALTED`` tuple from the *analyzed* AST — not the imported package —
+so fixture trees and mid-refactor checkouts lint correctly.
 """
 
 from __future__ import annotations
@@ -57,35 +57,6 @@ def _find_salt_tuple(cache_module) -> Optional[Tuple[List[str], int]]:
             entries.append(element.value)
         return entries, node.lineno
     return None
-
-
-def _transitive_closure(project: Project, roots: List[str],
-                        top_package: str) -> Set[str]:
-    """Module names reachable from ``roots`` via static imports, restricted
-    to modules of ``top_package`` that are present in the project."""
-    seen: Set[str] = set()
-    queue = [root for root in roots if project.has_module(root)]
-    while queue:
-        name = queue.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        module = project.module(name)
-        if module is None:
-            continue
-        for imported, _lineno in module.imported_modules():
-            if not (imported == top_package
-                    or imported.startswith(top_package + ".")):
-                continue
-            # `from pkg import name` arrives as pkg.name: prefer the module
-            # if one exists, otherwise fall back to the containing package.
-            if project.has_module(imported):
-                queue.append(imported)
-            else:
-                base = imported.rpartition(".")[0]
-                if base and project.has_module(base):
-                    queue.append(base)
-    return seen
 
 
 def _salted_files(project: Project, cache_module,
@@ -137,11 +108,17 @@ class SaltCoverageRule(Rule):
         covered, _missing = _salted_files(project, cache_module, entries)
         package_root = cache_module.path.resolve().parents[1]
         top_package = CACHE_MODULE.split(".")[0]
-        closure = _transitive_closure(project, list(CLOSURE_ROOTS),
-                                      top_package)
-        for name in sorted(closure):
-            module = project.module(name)
-            if module is None:
+        reached: Set[str] = set()
+        for root in CLOSURE_ROOTS:
+            module = project.module(root)
+            if module is not None:
+                reached |= {module.display} | project.import_closure[
+                    module.display]
+        for display in sorted(reached):
+            module = project.by_display[display]
+            name = module.name
+            if not (name == top_package
+                    or name.startswith(top_package + ".")):
                 continue
             try:
                 relative = (module.path.resolve()

@@ -1,6 +1,8 @@
 """Tests for the `repro lint` analyzer: every shipped rule must catch its
 deliberately-seeded fixture violation and stay quiet on the clean twin."""
 
+import ast
+import collections
 import pathlib
 import textwrap
 
@@ -680,6 +682,35 @@ class TestPolicyContextSeamRules:
             rule_ids=["LAY002", "LAY003"])
         assert findings == []
 
+    def test_nested_context_defs_report_each_violation_once(self):
+        findings = snippet(
+            """
+            def outer(ctx):
+                def inner(ctx):
+                    ctx.hint = 1
+                    ctx._engine.wake_all()
+                    ctx.mode = 2
+                return inner
+            """,
+            name="repro.qos.manager",
+            rule_ids=["LAY002", "LAY003"])
+        assert [(f.rule, f.line) for f in findings] == [
+            ("LAY002", 4), ("LAY003", 5), ("LAY002", 6)]
+
+    def test_nested_def_without_ctx_sees_the_outer_ctx(self):
+        findings = snippet(
+            """
+            def outer(ctx):
+                def inner():
+                    ctx.hint = 1
+                    return ctx._engine
+                return inner
+            """,
+            name="repro.qos.manager",
+            rule_ids=["LAY002", "LAY003"])
+        assert [(f.rule, f.line) for f in findings] == [
+            ("LAY002", 4), ("LAY003", 5)]
+
 
 # ------------------------------------------------------------ project rules
 
@@ -846,6 +877,59 @@ class TestDriver:
         result = analyze_paths([source], root=tmp_path)
         assert result.findings == []
         assert rules_of(result.suppressed) == ["DET001"]
+
+    def test_every_rule_reads_one_walk_of_each_module(self, tmp_path,
+                                                      monkeypatch):
+        # A traversal of a module starts with ast.iter_child_nodes on its
+        # root (ast.walk too).  All rules together may start one per
+        # module, the node index, plus one for the parent map in a module
+        # where a rule asks for it: pipeline.py's sorted(os.listdir(...)).
+        write_tree(tmp_path, {
+            "helpers.py": """
+                import time
+
+                def stamp():
+                    return time.time()  # repro: noqa=DET001
+                """,
+            "pipeline.py": """
+                import hashlib
+                import os
+
+                from helpers import stamp
+
+                class Runner:
+                    def __init__(self, root):
+                        self.root = root
+
+                    def names(self):
+                        return sorted(os.listdir(self.root))
+
+                def key(runner):
+                    return hashlib.sha256(
+                        f"{stamp()}{runner.names()}".encode()).hexdigest()
+                """,
+            "policy.py": """
+                def decide(ctx):
+                    return ctx.epoch
+                """,
+        })
+        starts = collections.Counter()
+        iter_child_nodes = ast.iter_child_nodes
+
+        def counting(node):
+            if isinstance(node, ast.Module):
+                starts[id(node)] += 1
+            return iter_child_nodes(node)
+
+        monkeypatch.setattr(ast, "iter_child_nodes", counting)
+        for computed in (3, 0):
+            starts.clear()
+            result = analyze_paths([tmp_path], root=tmp_path,
+                                   flow_cache_dir=tmp_path / "cache")
+            assert result.flow_stats["computed"] == computed
+            assert {module.display: starts[id(module.tree)]
+                    for module in result.modules} == {
+                "helpers.py": 1, "pipeline.py": 2, "policy.py": 1}
 
 
 # ------------------------------------------------------------- self-check

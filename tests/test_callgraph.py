@@ -2,8 +2,10 @@
 
 Resolution must survive the spellings real code uses: import aliases,
 module-level ``f = g`` aliasing, ``self``/``super()`` dispatch through
-project-local bases, constructor calls, decorated defs, and receiver
-types learned from parameter annotations or constructor assignments.
+project-local bases, constructor calls, decorated defs, calls into
+nested defs, and receiver types learned from parameter annotations or
+constructor assignments.  The caller edges the flow engine schedules by
+are the ones its resolver records.
 """
 
 import ast
@@ -11,7 +13,8 @@ import pathlib
 import textwrap
 
 from repro.analysis.callgraph import build_callgraph
-from repro.analysis.core import ModuleInfo, Project
+from repro.analysis.core import ModuleInfo, Project, scope_walk
+from repro.analysis.flow import ProjectFlowAnalysis
 
 
 def make_project(**modules):
@@ -29,7 +32,14 @@ def make_project(**modules):
 
 
 def calls_in(graph, qname):
-    return list(graph.iter_calls(graph.functions[qname]))
+    """Every call in one function's own body (nested defs excluded), with
+    its resolution, the way the flow engine resolves it."""
+    info = graph.functions[qname]
+    local_types = graph.local_types_for(info)
+    return [(node, graph.resolve_call(info.module, node, enclosing=info,
+                                      local_types=local_types))
+            for node in scope_walk(info.node.body)
+            if isinstance(node, ast.Call)]
 
 
 class TestSymbolTable:
@@ -201,6 +211,28 @@ class TestResolution:
         assert ("unknown-method", "poke") in [(t.kind, t.qname)
                                               for t in targets]
 
+    def test_bare_call_to_an_enclosing_functions_def_or_class(self):
+        graph = build_callgraph(make_project(mod="""
+            def helper():
+                return 0
+
+            def outer():
+                def helper():
+                    return 1
+                class Box:
+                    pass
+                def sibling():
+                    return helper()
+                return helper(), Box(), sibling()
+            """))
+        targets = {(t.kind, t.qname) for _, t in calls_in(graph, "mod.outer")}
+        assert targets == {("function", "mod.outer.<locals>.helper"),
+                           ("constructor", "mod.outer.<locals>.Box"),
+                           ("function", "mod.outer.<locals>.sibling")}
+        ((_, target),) = calls_in(graph, "mod.outer.<locals>.sibling")
+        assert (target.kind, target.qname) == (
+            "function", "mod.outer.<locals>.helper")
+
 
 class TestLocalTypes:
     def test_parameter_annotation_binds_receiver_class(self):
@@ -248,10 +280,33 @@ class TestLocalTypes:
         assert ("function", "mod.A.go") not in rebound_targets
         assert ("unknown-method", "go") in rebound_targets
 
+    def test_a_nested_defs_bindings_stay_in_the_nested_def(self):
+        # ``obj`` in outer is an untyped parameter; the ``obj = A()``
+        # inside inner binds inner's own local.
+        graph = build_callgraph(make_project(mod="""
+            class A:
+                def go(self):
+                    pass
+
+            def outer(obj):
+                def inner():
+                    obj = A()
+                    return obj
+                obj.go()
+            """))
+        assert graph.local_types_for(graph.functions["mod.outer"]) == {}
+        ((_, target),) = calls_in(graph, "mod.outer")
+        assert (target.kind, target.qname) == ("unknown-method", "go")
+        inner = graph.functions["mod.outer.<locals>.inner"]
+        assert graph.local_types_for(inner) == {"obj": "mod.A"}
+
 
 class TestEdges:
     def test_callers_of_reverse_edges(self):
-        graph = build_callgraph(make_project(
+        # The engine records an edge for every call it resolves; a call
+        # inside a nested def belongs to the nested def, not to the
+        # function around it.
+        engine = ProjectFlowAnalysis(make_project(
             helpers="""
                 def leaf():
                     return 1
@@ -263,12 +318,15 @@ class TestEdges:
                     return helpers.leaf()
 
                 def two():
-                    return helpers.leaf() + one()
+                    def nested():
+                        return one()
+                    return helpers.leaf() + nested()
                 """))
-        assert graph.callers_of("helpers.leaf") == {"caller.one",
-                                                    "caller.two"}
-        assert graph.callers_of("caller.one") == {"caller.two"}
-        assert graph.callers_of("caller.two") == set()
+        assert engine.callers == {
+            "helpers.leaf": {"caller.one", "caller.two"},
+            "caller.one": {"caller.two.<locals>.nested"},
+            "caller.two.<locals>.nested": {"caller.two"},
+        }
 
     def test_functions_of_module(self):
         graph = build_callgraph(make_project(

@@ -14,7 +14,10 @@ Three layers under test:
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import textwrap
 
 from repro.analysis.callgraph import build_callgraph  # noqa: F401
@@ -132,6 +135,19 @@ class TestTaintedIdentity:
             """)
         assert rules_of(findings) == ["FLOW001"]
         assert "time.time" in findings[0].message
+
+    def test_trace_through_a_called_nested_def(self):
+        findings = flow("""
+            import hashlib
+            import time
+
+            def case_key(spec):
+                def stamp():
+                    return time.time()
+                return hashlib.sha256(f"{spec}{stamp()}".encode()).hexdigest()
+            """)
+        assert rules_of(findings) == ["FLOW001"]
+        assert "returned via stamp()" in findings[0].message
 
 
 # ------------------------------------------------------------ FLOW002
@@ -323,6 +339,48 @@ class TestEffectInference:
         assert effects(analysis, "mod.outer.<locals>.note") == ([], False)
         assert effects(analysis, "mod.log") == (["global"], False)
 
+    def test_a_nested_def_counts_only_where_it_is_called(self):
+        # Defining a def has no effect, whether or not an ``if`` guards
+        # it; calling it has the callee's.
+        analysis = analysis_of("""
+            LOG = []
+
+            def direct():
+                def inner():
+                    LOG.append(1)
+
+            def guarded(flag):
+                if flag:
+                    def inner():
+                        LOG.append(1)
+
+            def calls():
+                def inner():
+                    LOG.append(1)
+                inner()
+            """)
+        assert effects(analysis, "mod.direct") == ([], False)
+        assert effects(analysis, "mod.guarded") == ([], False)
+        assert effects(analysis, "mod.direct.<locals>.inner") == (
+            ["global"], False)
+        assert effects(analysis, "mod.calls") == (["global"], False)
+
+    def test_a_called_nested_def_passes_on_its_summary(self):
+        # As in a runner's ``key(name)`` helper: the enclosing function
+        # gets the nested def's IO and fresh sources through the call.
+        analysis = analysis_of("""
+            import time
+
+            def outer(path):
+                def key(name):
+                    print(name)
+                    return time.time()
+                return key(path)
+            """)
+        facts = analysis.facts_for("mod.outer")
+        assert facts.io
+        assert {tag.kind for tag in facts.ret.taints} == {"time"}
+
 
 # ----------------------------------------------------- EFFECT rules
 
@@ -470,6 +528,33 @@ class TestSummaryCache:
         (tmp_path / "b.py").write_text("import c\n\nY = 20\n")
         edited = self.run(tmp_path, cache)
         assert edited.flow_stats == {"modules": 4, "computed": 4, "cached": 0}
+
+    def test_summary_bytes_do_not_depend_on_the_hash_seed(self):
+        # Sinks and return tags that tie on everything but their sink
+        # text or trace: equal facts must serialize to equal bytes under
+        # every hash seed, so the summary cache a run writes does not
+        # depend on the process that wrote it.
+        script = textwrap.dedent("""
+            import json
+            from repro.analysis.flow import (
+                AbsValue, FunctionFacts, ParamSink, Tag)
+            sinks = frozenset(
+                ParamSink(0, "FLOW001", f"identity sink {name}()", "m.py", 3,
+                          (hop,))
+                for name in ("a", "b", "c", "d") for hop in ("x", "y"))
+            taints = frozenset(Tag("time", "wall-clock read", "m.py", 2,
+                                   (hop,)) for hop in "pqrstu")
+            facts = FunctionFacts(ret=AbsValue(taints), param_sinks=sinks)
+            print(json.dumps(facts.to_dict(), sort_keys=True))
+            """)
+        outputs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=str(REPO / "src"))
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(outputs) == 1
 
     def test_disabled_cache_always_computes(self, tmp_path):
         write_tree(tmp_path)
