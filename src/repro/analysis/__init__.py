@@ -13,6 +13,8 @@ those properties statically over the whole tree:
   flow taint, effect contracts, layering contracts, cache-salt coverage);
 * :mod:`repro.analysis.driver` — :func:`analyze_paths` /
   :func:`check_source`, the programmatic entry points;
+* :mod:`repro.analysis.records` — one cache record per module, so a warm
+  run parses only what changed;
 * :mod:`repro.analysis.cli` — the ``repro lint`` subcommand.
 
 Nothing in the simulator runtime imports this package (enforced by the

@@ -22,7 +22,12 @@ builds that statically from a :class:`~repro.analysis.core.Project`:
   call to a def or class an enclosing function binds (``helper()`` in
   ``outer`` → ``outer.<locals>.helper``).
 
-The flow engine resolves every call through its memoised
+The symbol table is built from each module's :class:`ModuleSymbols`,
+plain rows that :func:`read_symbols` reads off the AST or, when the
+module's cache record is valid, :attr:`ModuleInfo.symbols` takes from
+the record, so a module nobody edited is not parsed to index it; a
+def's or class's ``node`` is looked up on first use.  The flow engine
+resolves every call through its memoised
 :meth:`~repro.analysis.flow.ProjectFlowAnalysis.resolve`, which also
 records the caller edges its fixpoint schedules by.
 
@@ -35,10 +40,12 @@ this is stdlib-only and never imports the code it describes.
 from __future__ import annotations
 
 import ast
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.analysis.core import ModuleInfo, Project, dotted_name, scope_walk
+from repro.analysis.core import (ModuleInfo, Project, defs_in, dotted_name,
+                                 scope_walk)
 
 #: Decorators that change how a def's parameters bind.
 _STATIC_DECORATORS = {"staticmethod"}
@@ -52,7 +59,6 @@ class FunctionInfo:
     qname: str
     name: str
     module: ModuleInfo
-    node: ast.AST  # FunctionDef | AsyncFunctionDef
     #: Qualified name of the owning class, None for module-level functions.
     class_qname: Optional[str] = None
     #: Parameter names in positional order (``self``/``cls`` included).
@@ -63,6 +69,13 @@ class FunctionInfo:
     #: The function whose body defines this one (through any classes in
     #: between); None for module-level functions and their methods.
     enclosing: Optional["FunctionInfo"] = None
+    #: Parameters that are a PolicyContext, by name or annotation.
+    ctx_params: Tuple[str, ...] = ()
+
+    @property
+    def node(self) -> ast.AST:
+        """The FunctionDef/AsyncFunctionDef (parses the module if need be)."""
+        return self.module.definitions[(self.qname, self.line)]
 
     @property
     def is_method(self) -> bool:
@@ -88,10 +101,35 @@ class ClassInfo:
     qname: str
     name: str
     module: ModuleInfo
-    node: ast.ClassDef
+    line: int = 0
     #: Base names resolved to absolute dotted form where possible.
     bases: Tuple[str, ...] = ()
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
+
+    @property
+    def node(self) -> ast.ClassDef:
+        return self.module.definitions[(self.qname, self.line)]
+
+
+#: ``(qname, line, class qname, params, decorators, enclosing qname,
+#: PolicyContext params)`` of one def.
+FunctionRow = Tuple[str, int, Optional[str], Tuple[str, ...],
+                    Tuple[str, ...], Optional[str], Tuple[str, ...]]
+#: ``(qname, line, bases)`` of one class; its methods are the defs whose
+#: class qname it is.
+ClassRow = Tuple[str, int, Tuple[str, ...]]
+
+
+@dataclass
+class ModuleSymbols:
+    """What the symbol table needs from one module, in plain rows: the
+    module scope (local name -> qname, for the defs and classes its body
+    defines plus ``f = g`` aliases), and every def and class at any
+    depth, each list in source order (no two share a line)."""
+
+    scope: Dict[str, str] = field(default_factory=dict)
+    functions: List[FunctionRow] = field(default_factory=list)
+    classes: List[ClassRow] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -129,22 +167,6 @@ def _function_params(node) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def _defs_in(body: List[ast.stmt]) -> Iterator[ast.stmt]:
-    """The def and class statements of one code body, in source order,
-    looking through compound statements but not into nested scopes."""
-    stack = list(reversed(body))
-    while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            yield stmt
-            continue
-        children = [child for name in ("body", "handlers", "orelse",
-                                       "finalbody", "cases")
-                    for child in getattr(stmt, name, ())]
-        stack.extend(reversed(children))
-
-
 def _decorator_names(node) -> Tuple[str, ...]:
     names = []
     for decorator in node.decorator_list:
@@ -153,6 +175,83 @@ def _decorator_names(node) -> Tuple[str, ...]:
         if dotted:
             names.append(dotted)
     return tuple(names)
+
+
+def context_params(node) -> Tuple[str, ...]:
+    """Parameters of a def that are (by name or annotation) a
+    :class:`PolicyContext`, in signature order."""
+    names: List[str] = []
+    args = node.args
+    for arg in (args.posonlyargs + args.args + args.kwonlyargs):
+        if arg.arg == "ctx":
+            names.append(arg.arg)
+        elif arg.annotation is not None:
+            try:
+                annotation = ast.unparse(arg.annotation)
+            except Exception:  # pragma: no cover - malformed annotation
+                continue
+            if "PolicyContext" in annotation:
+                names.append(arg.arg)
+    return tuple(names)
+
+
+def _scope_symbol(module: ModuleInfo, scope: Mapping[str, str],
+                  dotted: str) -> Optional[str]:
+    """Absolute qualified name for a dotted reference in ``module``:
+    a symbol of its module scope, else an import alias
+    (``np.random.default_rng`` → ``numpy.random.default_rng``; ``from
+    repro.sim.policy import PolicyContext`` →
+    ``repro.sim.policy.PolicyContext``)."""
+    head, _, rest = dotted.partition(".")
+    base = scope.get(head) or module.aliases.get(head)
+    if base is None:
+        return None
+    return f"{base}.{rest}" if rest else base
+
+
+def read_symbols(module: ModuleInfo) -> ModuleSymbols:
+    """The module's symbol rows, read off its tree (:attr:`ModuleInfo.
+    symbols` takes them from the module's record when it has a valid
+    one).  A class base resolves against the scope the module has
+    defined so far, as it does when the class statement runs."""
+    symbols = ModuleSymbols()
+    for node in module.tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            # Module-level aliasing: ``run = _run_impl``.
+            target, value = node.targets[0], node.value
+            if (isinstance(target, ast.Name)
+                    and isinstance(value, ast.Name)
+                    and value.id in symbols.scope):
+                symbols.scope[target.id] = symbols.scope[value.id]
+        for defined in defs_in([node]):
+            symbols.scope[defined.name] = _index_def(
+                module, symbols, defined, module.name, None, None)
+    return symbols
+
+
+def _index_def(module: ModuleInfo, symbols: ModuleSymbols, node: ast.stmt,
+               owner: str, class_qname: Optional[str],
+               enclosing: Optional[str]) -> str:
+    """Add the rows of one def or class statement and of every def and
+    class nested in it; returns its qname."""
+    qname = f"{owner}.{node.name}"
+    if isinstance(node, ast.ClassDef):
+        bases = []
+        for base in node.bases:
+            dotted = dotted_name(base)
+            if dotted is not None:
+                bases.append(_scope_symbol(module, symbols.scope, dotted)
+                             or dotted)
+        symbols.classes.append((qname, node.lineno, tuple(bases)))
+        for member in defs_in(node.body):
+            _index_def(module, symbols, member, qname, qname, enclosing)
+        return qname
+    symbols.functions.append((
+        qname, node.lineno, class_qname, _function_params(node),
+        _decorator_names(node), enclosing, context_params(node)))
+    for nested in defs_in(node.body):
+        _index_def(module, symbols, nested, f"{qname}.<locals>", None, qname)
+    return qname
 
 
 class CallGraph:
@@ -166,79 +265,44 @@ class CallGraph:
         #: classes the module body defines, plus ``f = g`` aliases).
         self.module_scope: Dict[str, Dict[str, str]] = {}
         for module in project.modules:
-            self._index_module(module)
+            self._add_module(module, module.symbols)
 
     # ------------------------------------------------------------- indexing
 
-    def _index_module(self, module: ModuleInfo) -> None:
-        scope: Dict[str, str] = {}
-        self.module_scope[module.name] = scope
-        for node in module.tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                # Module-level aliasing: ``run = _run_impl``.
-                target, value = node.targets[0], node.value
-                if (isinstance(target, ast.Name)
-                        and isinstance(value, ast.Name)
-                        and value.id in scope):
-                    scope[target.id] = scope[value.id]
-            for defined in _defs_in([node]):
-                scope[defined.name] = self._index_def(
-                    module, defined, module.name, None, None).qname
-
-    def _index_def(self, module: ModuleInfo, node: ast.stmt, owner: str,
-                   class_qname: Optional[str],
-                   enclosing: Optional[FunctionInfo]
-                   ) -> Union[FunctionInfo, ClassInfo]:
-        """Index one def or class statement and every def and class
-        nested in it."""
-        qname = f"{owner}.{node.name}"
-        if isinstance(node, ast.ClassDef):
-            bases = []
-            for base in node.bases:
-                dotted = dotted_name(base)
-                if dotted is not None:
-                    bases.append(self._resolve_symbol(module, dotted)
-                                 or dotted)
-            info = ClassInfo(qname=qname, name=node.name, module=module,
-                             node=node, bases=tuple(bases))
-            self.classes[qname] = info
-            for member in _defs_in(node.body):
-                indexed = self._index_def(module, member, qname, qname,
-                                          enclosing)
-                if isinstance(indexed, FunctionInfo):
-                    info.methods[member.name] = indexed
-            return info
-        info = FunctionInfo(
-            qname=qname, name=node.name, module=module, node=node,
-            class_qname=class_qname, params=_function_params(node),
-            decorators=_decorator_names(node), line=node.lineno,
-            enclosing=enclosing)
-        self.functions[qname] = info
-        for nested in _defs_in(node.body):
-            self._index_def(module, nested, f"{qname}.<locals>", None, info)
-        return info
+    def _add_module(self, module: ModuleInfo,
+                    symbols: ModuleSymbols) -> None:
+        """Index one module's rows in source order, so that a def's class
+        and enclosing def are the latest ones by their qnames, as when
+        the tree was indexed."""
+        self.module_scope[module.name] = dict(symbols.scope)
+        for row in heapq.merge(symbols.classes, symbols.functions,
+                               key=lambda row: row[1]):
+            if len(row) == 3:  # a ClassRow
+                qname, line, bases = row
+                self.classes[qname] = ClassInfo(
+                    qname=qname, name=qname.rpartition(".")[2],
+                    module=module, line=line, bases=bases)
+                continue
+            qname, line, class_qname, params, decorators, enclosing, ctx = row
+            info = FunctionInfo(
+                qname=qname, name=qname.rpartition(".")[2], module=module,
+                class_qname=class_qname, params=params,
+                decorators=decorators, line=line,
+                enclosing=self.functions[enclosing] if enclosing else None,
+                ctx_params=ctx)
+            self.functions[qname] = info
+            if class_qname is not None:
+                self.classes[class_qname].methods[info.name] = info
 
     # ----------------------------------------------------------- resolution
 
     def _resolve_symbol(self, module: ModuleInfo,
                         dotted: str) -> Optional[str]:
-        """Absolute qualified name for a dotted reference in ``module``.
-
-        Tries, in order: module-local top-level symbols, import aliases
-        (``np.random.default_rng`` → ``numpy.random.default_rng``), and —
-        when the alias lands inside the project — the project symbol it
-        names (``from repro.sim.policy import PolicyContext`` →
-        ``repro.sim.policy.PolicyContext``).
-        """
-        head, _, rest = dotted.partition(".")
-        scope = self.module_scope.get(module.name, {})
-        if head in scope:
-            base = scope[head]
-            return f"{base}.{rest}" if rest else base
-        origin = module.aliases.get(head)
-        if origin is None:
-            return None
-        return f"{origin}.{rest}" if rest else origin
+        """Absolute qualified name for a dotted reference in ``module``:
+        module-local top-level symbols first, then import aliases (see
+        :func:`_scope_symbol`)."""
+        return _scope_symbol(module, self.module_scope.get(module.name, {}),
+                             dotted)
 
     def lookup_method(self, class_qname: str,
                       method: str) -> Optional[FunctionInfo]:
@@ -256,6 +320,20 @@ class CallGraph:
             if method in info.methods:
                 return info.methods[method]
             queue.extend(info.bases)
+        return None
+
+    def enclosing_def(self, enclosing: Optional[FunctionInfo], name: str
+                      ) -> Optional[Union[FunctionInfo, ClassInfo]]:
+        """The def or class bound to ``name`` by ``enclosing`` or the
+        nearest function around it that binds one (``helper`` in
+        ``outer`` → ``outer.<locals>.helper``)."""
+        scope = enclosing
+        while scope is not None:
+            local = f"{scope.qname}.<locals>.{name}"
+            found = self.functions.get(local) or self.classes.get(local)
+            if found is not None:
+                return found
+            scope = scope.enclosing
         return None
 
     def resolve_call(self, module: ModuleInfo, call: ast.Call,
@@ -287,14 +365,10 @@ class CallGraph:
             return CallTarget("unknown", "")
         head, _, rest = dotted.partition(".")
         # helper() where an enclosing function defines helper
-        scope = enclosing if not rest else None
-        while scope is not None:
-            local = f"{scope.qname}.<locals>.{head}"
-            if local in self.functions:
-                return CallTarget("function", local)
-            if local in self.classes:
-                return CallTarget("constructor", local)
-            scope = scope.enclosing
+        local = self.enclosing_def(enclosing, head) if not rest else None
+        if local is not None:
+            return CallTarget("function" if isinstance(local, FunctionInfo)
+                              else "constructor", local.qname)
         # self.method() / cls.method()
         if (enclosing is not None and enclosing.class_qname
                 and rest and "." not in rest

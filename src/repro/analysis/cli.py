@@ -65,9 +65,9 @@ def build_lint_parser() -> argparse.ArgumentParser:
              "example source→sink trace) and exit")
     parser.add_argument(
         "--no-flow-cache", action="store_false", dest="flow_cache",
-        help="recompute interprocedural flow summaries instead of "
-             "reusing benchmarks/.cache/analysis/ (REPRO_LINT_CACHE=0 "
-             "does the same; a path value relocates the cache)")
+        help="recompute everything instead of reusing the module records "
+             "in benchmarks/.cache/analysis/ (REPRO_LINT_CACHE=0 does the "
+             "same; a path value relocates the cache)")
     return parser
 
 
@@ -124,13 +124,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     findings = result.findings
 
     if args.format == "json":
+        def entries(group):
+            return [{"rule": finding.rule, "severity": finding.severity,
+                     "path": finding.path, "line": finding.line,
+                     "message": finding.message} for finding in group]
+
         print(json.dumps({
-            "findings": [
-                {"rule": finding.rule, "severity": finding.severity,
-                 "path": finding.path, "line": finding.line,
-                 "message": finding.message}
-                for finding in findings
-            ],
+            "findings": entries(findings),
+            "suppressed": entries(result.suppressed),
             "counts": {
                 "new": len(findings),
                 "suppressed": len(result.suppressed),

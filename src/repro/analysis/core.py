@@ -3,13 +3,17 @@
 The analyzer is a small AST-walking lint framework purpose-built for this
 reproduction's invariants (see :mod:`repro.analysis.rules`):
 
-* :class:`ModuleInfo` — one parsed source file: its dotted module name,
-  AST, the node index every rule reads (one walk of the tree, with each
-  node's enclosing scope), the import table, a lazily-built parent map
-  and per-line ``# repro: noqa=RULE`` suppressions;
+* :class:`ModuleInfo` — one source file: its dotted module name, source
+  hash, and everything derived from it lazily — the AST (parsed on
+  first use), the node index every rule reads (one walk of the tree,
+  with each node's enclosing scope), the import table, the def and
+  class nodes by qualified name, a parent map and per-line ``# repro:
+  noqa=RULE`` suppressions.  When the module's cache record is valid
+  (:mod:`repro.analysis.records`), the import table comes from it and
+  nothing parses the file unless a rule needs its tree;
 * :class:`Project` — every analyzed module, addressable by dotted name,
   with the project-import closure that cross-module rules (cache-salt
-  coverage) and the flow summary cache share;
+  coverage) and the module records' closure keys share;
 * :class:`Rule` — base class; a rule either checks one module at a time
   (``scope = "module"``) or the whole project (``scope = "project"``) and
   yields :class:`Finding`\\ s;
@@ -24,6 +28,7 @@ checkouts) without importing them.
 from __future__ import annotations
 
 import ast
+import hashlib
 import pathlib
 import re
 from dataclasses import dataclass
@@ -65,24 +70,46 @@ class Finding:
 
 
 class ModuleInfo:
-    """One parsed python source file plus the lookups rules keep needing."""
+    """One python source file plus the lookups rules keep needing."""
 
     def __init__(self, path: pathlib.Path, display: str, source: str,
-                 tree: ast.Module, name: str):
+                 tree: Optional[ast.Module] = None, *, name: str):
         self.path = path
         #: Root-relative posix path used in findings.
         self.display = display
         self.source = source
-        self.tree = tree
+        self._tree = tree
         #: Dotted module name (``repro.sim.engine``), derived from the
         #: ``__init__.py`` chain above the file.
         self.name = name
+        #: The module's cache record (a
+        #: :class:`repro.analysis.records.ModuleRecord`) when one whose
+        #: own-source key matches was loaded, else None.
+        self.record = None
+        self._source_hash: Optional[str] = None
         self._nodes: Optional[List[ast.AST]] = None
         self._scopes: Optional[List[ast.AST]] = None
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
         self._imports: Optional[List[ImportRow]] = None
         self._aliases: Optional[Dict[str, str]] = None
+        self._definitions: Optional[Dict[Tuple[str, int], ast.AST]] = None
+        self._symbols = None
         self._noqa: Optional[Dict[int, frozenset]] = None
+
+    @property
+    def tree(self) -> ast.Module:
+        """The AST, parsed on first use (raises ``SyntaxError``)."""
+        if self._tree is None:
+            self._tree = ast.parse(self.source, filename=str(self.path))
+        return self._tree
+
+    @property
+    def source_hash(self) -> str:
+        """SHA-256 of the source text, hex."""
+        if self._source_hash is None:
+            self._source_hash = hashlib.sha256(
+                self.source.encode()).hexdigest()
+        return self._source_hash
 
     # ------------------------------------------------------------ node index
 
@@ -129,6 +156,38 @@ class ModuleInfo:
             yield current
             current = self.parent_of(current)
 
+    @property
+    def definitions(self) -> Dict[Tuple[str, int], ast.AST]:
+        """``(qualified name, line) -> node`` for every def and class at
+        any depth, named as the call graph names them: a class member is
+        ``Class.name``, a def nested in a function ``outer.<locals>.name``.
+        """
+        if self._definitions is None:
+            found: Dict[Tuple[str, int], ast.AST] = {}
+            pending = [(self.name, self.tree.body)]
+            while pending:
+                owner, body = pending.pop()
+                for node in defs_in(body):
+                    qname = f"{owner}.{node.name}"
+                    found[(qname, node.lineno)] = node
+                    pending.append((qname if isinstance(node, ast.ClassDef)
+                                    else f"{qname}.<locals>", node.body))
+            self._definitions = found
+        return self._definitions
+
+    @property
+    def symbols(self):
+        """The call graph's rows for this module
+        (:class:`repro.analysis.callgraph.ModuleSymbols`): from the
+        record, else read off the tree once."""
+        if self._symbols is None:
+            if self.record is not None:
+                self._symbols = self.record.symbols
+            else:
+                from repro.analysis.callgraph import read_symbols
+                self._symbols = read_symbols(self)
+        return self._symbols
+
     # --------------------------------------------------------------- imports
 
     @property
@@ -138,6 +197,8 @@ class ModuleInfo:
         stands for, the absolute name imported, and the line.  ``import
         a.b`` binds ``a`` to ``a`` and imports ``a.b``; ``from pkg import
         name`` imports ``pkg.name``, a module or a symbol of ``pkg``."""
+        if self._imports is None and self.record is not None:
+            self._imports = self.record.imports
         if self._imports is None:
             table: List[ImportRow] = []
             for node in self.nodes:
@@ -251,6 +312,9 @@ class Project:
             module.name: module for module in self.modules}
         self.by_display: Dict[str, ModuleInfo] = {
             module.display: module for module in self.modules}
+        #: The run's :class:`repro.analysis.records.RecordStore`, which
+        #: writes the records this run computed; None for uncached runs.
+        self.records = None
         self._closure: Optional[Dict[str, Set[str]]] = None
 
     def module(self, name: str) -> Optional[ModuleInfo]:
@@ -290,7 +354,10 @@ class Project:
 class Rule:
     """Base lint rule.  Subclasses set the class attributes and override
     :meth:`check_module` (``scope = "module"``) or :meth:`check_project`
-    (``scope = "project"``, for cross-module invariants)."""
+    (``scope = "project"``, for cross-module invariants).  A module
+    rule's findings are kept in the module's record and reused while the
+    module's source is unchanged, so :meth:`check_module` may read only
+    the module it is given."""
 
     id: str = ""
     severity: str = ERROR
@@ -345,6 +412,21 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
+def defs_in(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+    """The def and class statements of one code body, in source order,
+    looking through compound statements but not into nested scopes."""
+    stack = list(reversed(body))
+    while stack:
+        stmt = stack.pop()
+        if isinstance(stmt, SCOPE_NODES):
+            yield stmt
+            continue
+        children = [child for name in ("body", "handlers", "orelse",
+                                       "finalbody", "cases")
+                    for child in getattr(stmt, name, ())]
+        stack.extend(reversed(children))
+
+
 def scope_walk(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
     """Every node of one code body, depth first from its last statement,
     skipping nested defs and classes whole: they are scopes of their own."""
@@ -364,15 +446,27 @@ def attribute_base(node: ast.AST) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def module_name_for(path: pathlib.Path) -> str:
-    """Dotted module name implied by the ``__init__.py`` chain above a file."""
+def module_name_for(path: pathlib.Path,
+                    packages: Optional[Dict[pathlib.Path, List[str]]] = None
+                    ) -> str:
+    """Dotted module name implied by the ``__init__.py`` chain above a
+    file.  ``packages`` memoises each directory's package path for
+    callers that name many files."""
     path = path.resolve()
-    parts: List[str] = [] if path.name == "__init__.py" else [path.stem]
-    directory = path.parent
-    while (directory / "__init__.py").exists():
-        parts.insert(0, directory.name)
-        parent = directory.parent
-        if parent == directory:
-            break
-        directory = parent
+    parts = _package_parts(path.parent, {} if packages is None else packages)
+    if path.name != "__init__.py":
+        parts = parts + [path.stem]
     return ".".join(parts) if parts else path.stem
+
+
+def _package_parts(directory: pathlib.Path,
+                   packages: Dict[pathlib.Path, List[str]]) -> List[str]:
+    parts = packages.get(directory)
+    if parts is None:
+        parts = []
+        if (directory / "__init__.py").exists():
+            parent = directory.parent
+            parts = ([] if parent == directory
+                     else _package_parts(parent, packages)) + [directory.name]
+        packages[directory] = parts
+    return parts

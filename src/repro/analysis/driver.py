@@ -3,11 +3,18 @@
 :func:`analyze_paths` is the programmatic entry point (the CLI and the
 test suite both sit on it); :func:`check_source` is the one-snippet
 convenience the analyzer's own tests use.
+
+A cached run reads every source file and its module record
+(:mod:`repro.analysis.records`).  A file whose record matches its source
+is not parsed here: its module-rule findings come from the record, and
+its tree is parsed later only if the flow engine or a project rule asks
+for it.  Every other file is parsed at once, so a syntax error is
+reported whether or not the cache is warm.  At the end the driver
+writes the records the run recomputed.
 """
 
 from __future__ import annotations
 
-import ast
 import os
 import pathlib
 from dataclasses import dataclass, field
@@ -22,6 +29,7 @@ from repro.analysis.core import (
     all_rules,
     module_name_for,
 )
+from repro.analysis.records import RecordStore, module_findings
 
 #: Rule id used for files the parser rejects (not suppressible by design —
 #: a file that does not parse cannot carry a trustworthy noqa comment).
@@ -30,7 +38,7 @@ PARSE_ERROR_RULE = "E999"
 _SKIP_DIR_NAMES = {"__pycache__"}
 _SKIP_DIR_SUFFIXES = (".egg-info",)
 
-#: Environment override for the flow-summary cache: ``0``/``off`` (or
+#: Environment override for the module-record cache: ``0``/``off`` (or
 #: empty) disables it, any other value relocates the cache directory.
 ENV_FLOW_CACHE = "REPRO_LINT_CACHE"
 _CACHE_OFF_VALUES = {"", "0", "off", "no", "false"}
@@ -38,7 +46,7 @@ _CACHE_OFF_VALUES = {"", "0", "off", "no", "false"}
 
 def default_flow_cache_dir(
         root: Optional[pathlib.Path]) -> Optional[pathlib.Path]:
-    """Where interprocedural summaries cache for a repo-checkout run:
+    """Where module records cache for a repo-checkout run:
     ``benchmarks/.cache/analysis/`` next to the other derived artifacts
     (the case cache, the experiment store), or nowhere when ``root``
     does not look like a checkout."""
@@ -53,7 +61,7 @@ def default_flow_cache_dir(
 def resolve_flow_cache_dir(root: Optional[pathlib.Path] = None,
                            explicit: Optional[pathlib.Path] = None,
                            enabled: bool = True) -> Optional[pathlib.Path]:
-    """The flow-cache directory to use, or ``None`` for uncached runs.
+    """The record-cache directory to use, or ``None`` for uncached runs.
 
     Precedence: ``enabled=False`` wins, then an ``explicit`` directory,
     then :data:`ENV_FLOW_CACHE`, then :func:`default_flow_cache_dir`.
@@ -92,10 +100,11 @@ def iter_python_files(paths: Iterable[pathlib.Path]) -> List[pathlib.Path]:
 
 
 def display_path(path: pathlib.Path, root: Optional[pathlib.Path]) -> str:
-    path = path.resolve()
+    """``path`` relative to ``root`` when under it, else absolute; both
+    resolved already."""
     if root is not None:
         try:
-            return path.relative_to(root.resolve()).as_posix()
+            return path.relative_to(root).as_posix()
         except ValueError:
             pass
     return path.as_posix()
@@ -120,25 +129,33 @@ class AnalysisResult:
 
 
 def load_project(paths: Sequence[pathlib.Path],
-                 root: Optional[pathlib.Path] = None
+                 root: Optional[pathlib.Path] = None,
+                 records: Optional[RecordStore] = None
                  ) -> "tuple[Project, List[Finding]]":
-    """Parse every file under ``paths``; syntax errors become findings."""
+    """Read every file under ``paths`` and load its record from
+    ``records``; parse the files without a valid record, turning syntax
+    errors into findings."""
     modules: List[ModuleInfo] = []
     parse_findings: List[Finding] = []
+    root = pathlib.Path(root).resolve() if root is not None else None
+    packages: Dict[pathlib.Path, List[str]] = {}
     for source_path in iter_python_files(paths):
         display = display_path(source_path, root)
         try:
-            source = source_path.read_text()
-            tree = ast.parse(source, filename=str(source_path))
+            module = ModuleInfo(path=source_path, display=display,
+                                source=source_path.read_text(),
+                                name=module_name_for(source_path, packages))
+            if records is not None:
+                records.load(module)
+            if module.record is None:
+                module.tree  # parsed now, so a syntax error is reported
         except (SyntaxError, ValueError, OSError) as error:
             line = getattr(error, "lineno", None) or 1
             parse_findings.append(Finding(
                 rule=PARSE_ERROR_RULE, severity=ERROR, path=display,
                 line=line, message=f"file does not parse: {error}"))
             continue
-        modules.append(ModuleInfo(path=source_path, display=display,
-                                  source=source, tree=tree,
-                                  name=module_name_for(source_path)))
+        modules.append(module)
     return Project(modules), parse_findings
 
 
@@ -173,21 +190,27 @@ def analyze_paths(paths: Sequence[pathlib.Path],
     :data:`PARSE_ERROR_RULE` findings and are never suppressible.
 
     Interprocedural rules (FLOW/FLOAT/EFFECT) share one engine run per
-    project; its per-module summaries persist under the directory
+    project.  Each module's record persists under the directory
     :func:`resolve_flow_cache_dir` picks (pass ``flow_cache=False`` or
     set ``REPRO_LINT_CACHE=0`` for a cold run every time).
     """
     rules = select_rules(rule_ids)
-    project, parse_findings = load_project(paths, root=root)
     cache_dir = resolve_flow_cache_dir(root=root, explicit=flow_cache_dir,
                                        enabled=flow_cache)
-    if cache_dir is not None:
-        project.flow_cache_dir = cache_dir
+    records = RecordStore(cache_dir) if cache_dir is not None else None
+    project, parse_findings = load_project(paths, root=root, records=records)
+    project.records = records
     result = AnalysisResult(modules=project.modules)
     run_rules(rules, project, result)
+    if records is not None:
+        records.save(project.modules)
     flow = getattr(project, "_flow_analysis", None)
     if flow is not None:
         result.flow_stats = dict(flow.stats)
+        # The engine refers back to the project: without this reference
+        # the run's objects are freed with the result, not left to the
+        # garbage collector.
+        del project._flow_analysis
     result.findings.extend(parse_findings)
     result.findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     result.suppressed.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
@@ -198,13 +221,15 @@ def run_rules(rules: Sequence[Rule], project: Project,
               result: AnalysisResult) -> None:
     """Run ``rules`` over ``project``, adding each finding to
     ``result.findings`` or, when a noqa comment covers it, to
-    ``result.suppressed``."""
+    ``result.suppressed``.  A module-scope rule's findings in a module
+    with a valid record come from the record."""
     for rule in rules:
         if rule.scope == "project":
             raw: Iterable[Finding] = rule.check_project(project)
         else:
             raw = (finding for module in project.modules
-                   for finding in rule.check_module(module))
+                   for finding in module_findings(rule, module,
+                                                  project.records))
         for finding in raw:
             module = project.by_display.get(finding.path)
             if module is not None and module.suppresses(finding):
@@ -220,9 +245,9 @@ def check_source(source: str, path: str = "snippet.py",
     project-scope rules run too but skip when their anchor modules are
     absent).  ``name`` defaults to the stem of ``path``."""
     rules = select_rules(rule_ids)
-    tree = ast.parse(source, filename=path)
     module = ModuleInfo(path=pathlib.Path(path), display=path, source=source,
-                        tree=tree, name=name or pathlib.Path(path).stem)
+                        name=name or pathlib.Path(path).stem)
+    module.tree  # a snippet that does not parse raises here
     result = AnalysisResult(modules=[module])
     run_rules(rules, Project([module]), result)
     return sorted(result.findings, key=lambda f: (f.line, f.rule, f.message))

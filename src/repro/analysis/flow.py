@@ -31,9 +31,14 @@ order-robust, and a seeded RNG never becomes a source in the first
 place — so the "same path but mediated" twin of a finding analyses
 clean instead of being special-cased.
 
-Per-module results are cached under ``benchmarks/.cache/analysis/``
-keyed by a content hash of the module, its project-import closure, and
-the analyzer itself; a warm ``repro lint`` recomputes only what changed.
+A module's summaries and flow findings are the closure section of its
+record (:mod:`repro.analysis.records`), keyed by a content hash of the
+module, its project-import closure and the analyzer itself: the engine
+summarises only the modules whose section is stale, parsing them on
+first use, and hands the sections it computed back to the record store.
+A parameter sink keeps one witness trace per (parameter, rule, sink,
+line), as a taint keeps one per (source, parameter), so summaries do
+not grow with the number of call paths.
 
 Everything here is stdlib-only and best-effort: unknown calls
 conservatively merge their argument taints, and unknown receivers fall
@@ -43,9 +48,6 @@ back to name heuristics.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import pathlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -53,11 +55,12 @@ from repro.analysis.callgraph import (
     CallGraph,
     CallTarget,
     FunctionInfo,
-    _defs_in,
     _function_params,
     build_callgraph,
 )
-from repro.analysis.core import ModuleInfo, Project, dotted_name, scope_walk
+from repro.analysis.core import (ModuleInfo, Project, defs_in, dotted_name,
+                                 scope_walk)
+from repro.analysis.records import closure_keys, closure_section
 
 # NOTE: rules/__init__ imports determinism before the flow rules, so these
 # tables are always initialised by the time this module loads.
@@ -138,21 +141,34 @@ class Tag:
         return " -> ".join(parts)
 
 
-def normalize_tags(taints) -> frozenset:
-    """One tag per (kind, desc, location, param): keep the shortest trace.
+def one_witness(items, group_of) -> frozenset:
+    """One item per ``group_of(item)``: the one with the shortest trace,
+    ties broken by the smallest.
 
     Joins would otherwise retain one trace variant per call path, which
     explodes on diamond-shaped call graphs; any single witness trace is
     enough for a finding.
     """
-    best: Dict[tuple, Tag] = {}
-    for tag in taints:
-        key = (tag.kind, tag.desc, tag.path, tag.line, tag.param)
-        kept = best.get(key)
-        if kept is None or (len(tag.trace), tag.trace) < (len(kept.trace),
-                                                          kept.trace):
-            best[key] = tag
+    best: Dict[tuple, object] = {}
+    for item in items:
+        group = group_of(item)
+        kept = best.get(group)
+        if kept is None or (len(item.trace), item.trace) < (len(kept.trace),
+                                                            kept.trace):
+            best[group] = item
     return frozenset(best.values())
+
+
+def normalize_tags(taints) -> frozenset:
+    """One tag per (kind, desc, location, param)."""
+    return one_witness(taints, lambda tag: (tag.kind, tag.desc, tag.path,
+                                            tag.line, tag.param))
+
+
+def normalize_sinks(sinks) -> frozenset:
+    """One :class:`ParamSink` per (param, rule, sink, location)."""
+    return one_witness(sinks, lambda sink: (sink.param, sink.rule, sink.sink,
+                                            sink.path, sink.line))
 
 
 @dataclass(frozen=True)
@@ -250,7 +266,12 @@ class _Block:
     def __init__(self, index: int):
         self.index = index
         self.steps: List[tuple] = []
-        self.succ: List["_Block"] = []
+        #: Successor block indices (indices, not blocks: a loop would make
+        #: the graph a reference cycle only the garbage collector frees).
+        self.succ: List[int] = []
+
+    def link(self, *blocks: "_Block") -> None:
+        self.succ.extend(block.index for block in blocks)
 
 
 class _CFG:
@@ -277,7 +298,7 @@ def build_cfg(body: Sequence[ast.stmt]) -> _CFG:
     cfg = _CFG()
     tail = _emit(cfg, body, cfg.entry, [])
     if tail is not None:
-        tail.succ.append(cfg.exit)
+        tail.link(cfg.exit)
     return cfg
 
 
@@ -292,81 +313,81 @@ def _emit(cfg: _CFG, stmts: Sequence[ast.stmt], current: Optional[_Block],
             current.steps.append(("expr", stmt.value, stmt))
         elif isinstance(stmt, ast.Return):
             current.steps.append(("return", stmt.value, stmt))
-            current.succ.append(cfg.exit)
+            current.link(cfg.exit)
             current = None
         elif isinstance(stmt, ast.Raise):
             for child in (stmt.exc, stmt.cause):
                 if child is not None:
                     current.steps.append(("expr", child, stmt))
-            current.succ.append(cfg.exit)
+            current.link(cfg.exit)
             current = None
         elif isinstance(stmt, ast.Break):
             if loops:
-                current.succ.append(loops[-1][1])
+                current.link(loops[-1][1])
             current = None
         elif isinstance(stmt, ast.Continue):
             if loops:
-                current.succ.append(loops[-1][0])
+                current.link(loops[-1][0])
             current = None
         elif isinstance(stmt, ast.If):
             current.steps.append(("expr", stmt.test, stmt))
             then_entry = cfg.new()
             else_entry = cfg.new()
-            current.succ.extend((then_entry, else_entry))
+            current.link(then_entry, else_entry)
             then_exit = _emit(cfg, stmt.body, then_entry, loops)
             else_exit = _emit(cfg, stmt.orelse, else_entry, loops)
             current = cfg.new()
             for exit_block in (then_exit, else_exit):
                 if exit_block is not None:
-                    exit_block.succ.append(current)
+                    exit_block.link(current)
             if then_exit is None and else_exit is None:
                 current = None
         elif isinstance(stmt, ast.While):
             header = cfg.new()
-            current.succ.append(header)
+            current.link(header)
             header.steps.append(("expr", stmt.test, stmt))
             body_entry = cfg.new()
             after = cfg.new()
-            header.succ.extend((body_entry, after))
+            header.link(body_entry, after)
             body_exit = _emit(cfg, stmt.body, body_entry,
                               loops + [(header, after)])
             if body_exit is not None:
-                body_exit.succ.append(header)
+                body_exit.link(header)
             current = _emit(cfg, stmt.orelse, after, loops) if stmt.orelse \
                 else after
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             header = cfg.new()
-            current.succ.append(header)
+            current.link(header)
             header.steps.append(("bind", stmt.target, stmt.iter, stmt))
             body_entry = cfg.new()
             after = cfg.new()
-            header.succ.extend((body_entry, after))
+            header.link(body_entry, after)
             body_exit = _emit(cfg, stmt.body, body_entry,
                               loops + [(header, after)])
             if body_exit is not None:
-                body_exit.succ.append(header)
+                body_exit.link(header)
             current = _emit(cfg, stmt.orelse, after, loops) if stmt.orelse \
                 else after
         elif isinstance(stmt, ast.Try) or stmt.__class__.__name__ == "TryStar":
             before = current
             body_entry = cfg.new()
-            before.succ.append(body_entry)
+            before.link(body_entry)
             body_exit = _emit(cfg, stmt.body, body_entry, loops)
             after = cfg.new()
             if stmt.orelse and body_exit is not None:
                 orelse_exit = _emit(cfg, stmt.orelse, body_exit, loops)
                 if orelse_exit is not None:
-                    orelse_exit.succ.append(after)
+                    orelse_exit.link(after)
             elif body_exit is not None:
-                body_exit.succ.append(after)
+                body_exit.link(after)
             preds = [before] + ([body_exit] if body_exit is not None else [])
             for handler in stmt.handlers:
                 handler_entry = cfg.new()
                 for pred in preds:
-                    pred.succ.append(handler_entry)
+                    pred.link(handler_entry)
                 handler_exit = _emit(cfg, handler.body, handler_entry, loops)
                 if handler_exit is not None:
-                    handler_exit.succ.append(after)
+                    handler_exit.link(after)
             current = after
             if stmt.finalbody:
                 current = _emit(cfg, stmt.finalbody, after, loops)
@@ -390,13 +411,13 @@ def _emit(cfg: _CFG, stmts: Sequence[ast.stmt], current: Optional[_Block],
         elif stmt.__class__.__name__ == "Match":
             current.steps.append(("expr", stmt.subject, stmt))
             after = cfg.new()
-            current.succ.append(after)
+            current.link(after)
             for case in stmt.cases:
                 case_entry = cfg.new()
-                current.succ.append(case_entry)
+                current.link(case_entry)
                 case_exit = _emit(cfg, case.body, case_entry, loops)
                 if case_exit is not None:
-                    case_exit.succ.append(after)
+                    case_exit.link(after)
             current = after
         else:
             # Imports, Global/Nonlocal, Pass, Delete: no dataflow
@@ -498,7 +519,7 @@ class _FunctionAnalysis:
     # ------------------------------------------------------------ driver
 
     def run(self, report: bool = False
-            ) -> Tuple[AbsValue, Set[ParamSink], List[dict]]:
+            ) -> Tuple[AbsValue, frozenset, List[dict]]:
         entry_env: Dict[str, AbsValue] = {}
         for index, name in enumerate(self.params):
             entry_env[name] = AbsValue(frozenset({Tag(
@@ -517,11 +538,11 @@ class _FunctionAnalysis:
             block = worklist.pop()
             env = self._transfer(block, dict(envs.get(block.index, {})))
             for successor in block.succ:
-                known = envs.get(successor.index)
+                known = envs.get(successor)
                 merged = self._join_env(known, env)
                 if merged is not known:
-                    envs[successor.index] = merged
-                    worklist.append(successor)
+                    envs[successor] = merged
+                    worklist.append(self.cfg.blocks[successor])
         # Reporting pass over converged entries (blocks in creation order
         # so loop headers record shapes before their bodies are visited).
         self._ret = EMPTY
@@ -534,7 +555,7 @@ class _FunctionAnalysis:
             self._transfer(block, dict(envs.get(block.index, {})))
         self._report = False
         findings = self._dedupe(self._findings)
-        return self._ret, set(self._param_sinks), findings
+        return self._ret, normalize_sinks(self._param_sinks), findings
 
     @staticmethod
     def _join_env(known: Optional[Dict[str, AbsValue]],
@@ -619,6 +640,12 @@ class _FunctionAnalysis:
             # Field-sensitive only one level deep, within one function:
             # ``self._t0 = time.time()`` is visible to later reads here.
             env[f"{target.value.id}.{target.attr}"] = value
+        elif (isinstance(target, ast.Subscript)
+              and isinstance(target.value, ast.Name)):
+            # ``payload["kernel"] = name`` adds to what ``payload`` holds
+            # (a weak update), as ``payload = {"kernel": name}`` would.
+            name = target.value.id
+            env[name] = env.get(name, EMPTY).join(AbsValue(value.taints))
 
     def _aug_assign(self, stmt: ast.AugAssign,
                     env: Dict[str, AbsValue]) -> None:
@@ -1035,12 +1062,14 @@ class _FunctionAnalysis:
         if isinstance(key_expr, ast.Lambda):
             value = self._lambda_result(key_expr, env)
         elif isinstance(key_expr, ast.Name):
-            # A named function used as key: its summary's fresh sources
-            # make the ordering nondeterministic, and so does the builtin
-            # id unless something here rebinds the name.
-            scope = self.engine.callgraph.module_scope.get(
-                self.module.name, {})
-            qname = scope.get(key_expr.id)
+            # A named function used as key, a def of an enclosing function
+            # or of the module: its summary's fresh sources make the
+            # ordering nondeterministic, and so does the builtin id unless
+            # something here rebinds the name.
+            graph = self.engine.callgraph
+            local = graph.enclosing_def(self.info, key_expr.id)
+            qname = local.qname if local is not None else \
+                graph.module_scope.get(self.module.name, {}).get(key_expr.id)
             if qname is not None:
                 facts = self.engine.facts.get(qname, EMPTY_FACTS)
                 value = AbsValue(frozenset(
@@ -1054,8 +1083,9 @@ class _FunctionAnalysis:
     # ----------------------------------------------------------- FLOAT001
 
     def _collect_float_names(self) -> None:
-        for stmt in ast.walk(ast.Module(body=list(self.body),
-                                        type_ignores=[])):
+        """Names this body binds to a float; nested defs and classes bind
+        their own."""
+        for stmt in scope_walk(self.body):
             value = None
             target = None
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
@@ -1166,7 +1196,7 @@ def _bound_names(info: FunctionInfo) -> Set[str]:
     stored = {node.id for node in scope_walk(body)
               if isinstance(node, ast.Name)
               and isinstance(node.ctx, ast.Store)}
-    return set(info.params) | stored | {stmt.name for stmt in _defs_in(body)}
+    return set(info.params) | stored | {stmt.name for stmt in defs_in(body)}
 
 
 class _EffectWalker:
@@ -1365,41 +1395,18 @@ class _EffectWalker:
 # ----------------------------------------------------------- project engine
 
 
-def _analysis_salt() -> str:
-    """Content hash of the analyzer itself: any rule/engine edit
-    invalidates every cached module summary."""
-    package_root = pathlib.Path(__file__).resolve().parent
-    digest = hashlib.sha256()
-    for source in sorted(package_root.rglob("*.py")):
-        digest.update(source.name.encode())
-        try:
-            digest.update(source.read_bytes())
-        except OSError:
-            continue
-    return digest.hexdigest()
-
-
-_SALT_CACHE: List[str] = []
-
-
-def analysis_salt() -> str:
-    if not _SALT_CACHE:
-        _SALT_CACHE.append(_analysis_salt())
-    return _SALT_CACHE[0]
-
-
 class ProjectFlowAnalysis:
     """Summaries + flow findings for one whole project.
 
-    Construction runs the interprocedural fixpoint (reusing per-module
-    cached results when ``cache_dir`` is given) and then a reporting
-    pass.  ``facts`` maps function qualified names to
-    :class:`FunctionFacts`; ``module_findings`` maps module display paths
-    to raw finding dicts the FLOW/FLOAT rules re-emit.
+    Construction runs the interprocedural fixpoint and then a reporting
+    pass over every module whose record has no valid closure section
+    (every module, in an uncached run).  ``facts`` maps function
+    qualified names to :class:`FunctionFacts`; ``module_findings`` maps
+    module display paths to raw finding dicts the FLOW/FLOAT rules
+    re-emit.
     """
 
-    def __init__(self, project: Project,
-                 cache_dir: Optional[pathlib.Path] = None):
+    def __init__(self, project: Project):
         self.project = project
         self.callgraph = build_callgraph(project)
         self.facts: Dict[str, FunctionFacts] = {}
@@ -1413,7 +1420,7 @@ class ProjectFlowAnalysis:
         self._cfgs: Dict[str, _CFG] = {}
         self._types: Dict[str, Dict[str, str]] = {}
         self._resolved: Dict[int, CallTarget] = {}
-        self._run(pathlib.Path(cache_dir) if cache_dir else None)
+        self._run()
 
     # ------------------------------------------------------------ helpers
 
@@ -1459,8 +1466,7 @@ class ProjectFlowAnalysis:
         class body, then the top level.  They have no summary, so only
         the reporting pass reads them."""
         bodies = [_FunctionAnalysis(self, module, info.node.body, (),
-                                    f"{info.qname}.<body>", None,
-                                    info.node.lineno)
+                                    f"{info.qname}.<body>", None, info.line)
                   for info in self.callgraph.classes.values()
                   if info.module is module]
         bodies.append(_FunctionAnalysis(
@@ -1468,46 +1474,21 @@ class ProjectFlowAnalysis:
             None, 1))
         return bodies
 
-    # -------------------------------------------------------------- keys
-
-    def _module_keys(self) -> Dict[str, str]:
-        """Content key per module: own source + project import closure."""
-        source_hash = {
-            module.display: hashlib.sha256(
-                module.source.encode()).hexdigest()
-            for module in self.project.modules}
-        closure = self.project.import_closure
-        salt = analysis_salt()
-        keys: Dict[str, str] = {}
-        for module in self.project.modules:
-            digest = hashlib.sha256()
-            digest.update(salt.encode())
-            digest.update(source_hash[module.display].encode())
-            for dep in sorted(closure[module.display]):
-                digest.update(dep.encode())
-                digest.update(source_hash[dep].encode())
-            keys[module.display] = digest.hexdigest()
-        return keys
-
-    @staticmethod
-    def _cache_file(cache_dir: pathlib.Path, display: str) -> pathlib.Path:
-        stem = hashlib.sha256(display.encode()).hexdigest()[:24]
-        return cache_dir / f"{stem}.json"
-
     # --------------------------------------------------------------- run
 
-    def _run(self, cache_dir: Optional[pathlib.Path]) -> None:
-        keys = self._module_keys()
+    def _run(self) -> None:
+        store = self.project.records
+        keys = closure_keys(self.project) if store is not None else {}
         cached_displays: Set[str] = set()
-        if cache_dir is not None:
-            for module in self.project.modules:
-                payload = self._load_cache(cache_dir, module, keys)
-                if payload is None:
-                    continue
-                cached_displays.add(module.display)
-                self.module_findings[module.display] = payload["findings"]
-                for qname, facts in payload["facts"].items():
-                    self.facts[qname] = FunctionFacts.from_dict(facts)
+        for module in self.project.modules:
+            section = closure_section(module, keys.get(module.display, ""),
+                                      FunctionFacts.from_dict)
+            if section is None:
+                continue
+            facts, findings = section
+            cached_displays.add(module.display)
+            self.module_findings[module.display] = findings
+            self.facts.update(facts)
         fresh = [module for module in self.project.modules
                  if module.display not in cached_displays]
         self.stats["cached"] = len(cached_displays)
@@ -1540,9 +1521,10 @@ class ProjectFlowAnalysis:
         # Reporting pass: findings with converged summaries.
         for module in fresh:
             findings: List[dict] = []
-            for info in self.callgraph.functions_of_module(module.name):
-                if info.module.display != module.display:
-                    continue
+            functions = [info for info in
+                         self.callgraph.functions_of_module(module.name)
+                         if info.module.display == module.display]
+            for info in functions:
                 _ret, _sinks, raw = self._analysis_for(info).run(
                     report=True)
                 findings.extend(raw)
@@ -1551,46 +1533,18 @@ class ProjectFlowAnalysis:
                 findings.extend(raw)
             findings = _FunctionAnalysis._dedupe(findings)
             self.module_findings[module.display] = findings
-            if cache_dir is not None:
-                self._store_cache(cache_dir, module, keys[module.display])
+            if store is not None:
+                store.set_closure(
+                    module, keys[module.display],
+                    {info.qname: self.facts.get(info.qname,
+                                                EMPTY_FACTS).to_dict()
+                     for info in functions}, findings)
 
     def _summarise(self, info: FunctionInfo) -> FunctionFacts:
         ret, sinks, _ = self._analysis_for(info).run(report=False)
         io, mutates = _EffectWalker(self, info).run()
-        return FunctionFacts(ret=ret, param_sinks=frozenset(sinks), io=io,
+        return FunctionFacts(ret=ret, param_sinks=sinks, io=io,
                              mutates=mutates)
-
-    def _load_cache(self, cache_dir: pathlib.Path, module: ModuleInfo,
-                    keys: Dict[str, str]) -> Optional[dict]:
-        path = self._cache_file(cache_dir, module.display)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if payload.get("key") != keys.get(module.display):
-            return None
-        if payload.get("display") != module.display:
-            return None
-        return payload
-
-    def _store_cache(self, cache_dir: pathlib.Path, module: ModuleInfo,
-                     key: str) -> None:
-        facts = {}
-        for info in self.callgraph.functions_of_module(module.name):
-            if info.module.display != module.display:
-                continue
-            facts[info.qname] = self.facts.get(
-                info.qname, EMPTY_FACTS).to_dict()
-        payload = {"version": 1, "display": module.display, "key": key,
-                   "facts": facts,
-                   "findings": self.module_findings.get(module.display,
-                                                        [])}
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            path = self._cache_file(cache_dir, module.display)
-            path.write_text(json.dumps(payload, sort_keys=True))
-        except OSError:
-            pass
 
     # ----------------------------------------------------------- queries
 
@@ -1609,14 +1563,10 @@ class ProjectFlowAnalysis:
 
 
 def project_flow(project: Project) -> ProjectFlowAnalysis:
-    """The (memoised) flow analysis for a project.
-
-    The driver may set ``project.flow_cache_dir`` before rules run; all
-    flow-backed rules then share one engine run per project.
-    """
+    """The (memoised) flow analysis for a project: all flow-backed rules
+    share one engine run per project."""
     analysis = getattr(project, "_flow_analysis", None)
     if analysis is None:
-        cache_dir = getattr(project, "flow_cache_dir", None)
-        analysis = ProjectFlowAnalysis(project, cache_dir=cache_dir)
+        analysis = ProjectFlowAnalysis(project)
         project._flow_analysis = analysis
     return analysis

@@ -27,10 +27,7 @@ from __future__ import annotations
 from typing import Iterator, List, Set
 
 from repro.analysis.core import ERROR, Finding, Project, Rule, register
-from repro.analysis.rules.layering import (
-    POLICY_SIDE_PACKAGES,
-    _context_param_names,
-)
+from repro.analysis.rules.layering import POLICY_SIDE_PACKAGES
 
 # NB: ``repro.analysis.flow`` is imported inside the check methods —
 # flow.py itself imports the determinism rule tables, so a module-level
@@ -192,7 +189,7 @@ Example finding:
         for qname, info in sorted(flow.callgraph.functions.items()):
             if not info.module.name.startswith(POLICY_SIDE_PACKAGES):
                 continue
-            ctx_names = _context_param_names(info.node)
+            ctx_names = info.ctx_params
             if not ctx_names:
                 continue
             facts = flow.facts_for(qname)

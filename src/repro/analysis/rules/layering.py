@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
+from repro.analysis.callgraph import context_params
 from repro.analysis.core import (
     ERROR,
     Finding,
@@ -146,24 +147,6 @@ def _is_policy_side(module_name: str) -> bool:
                for package in POLICY_SIDE_PACKAGES)
 
 
-def _context_param_names(function: ast.AST) -> Set[str]:
-    """Parameters of ``function`` that are (by name or annotation) a
-    :class:`PolicyContext`."""
-    names: Set[str] = set()
-    args = function.args
-    for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-        if arg.arg == "ctx":
-            names.add(arg.arg)
-        elif arg.annotation is not None:
-            try:
-                annotation = ast.unparse(arg.annotation)
-            except Exception:  # pragma: no cover - malformed annotation
-                continue
-            if "PolicyContext" in annotation:
-                names.add(arg.arg)
-    return names
-
-
 class _ContextSeamRule(Rule):
     """Shared traversal: in policy-side modules, run :meth:`check_node`
     over every node that a def taking a PolicyContext encloses, once,
@@ -178,7 +161,7 @@ class _ContextSeamRule(Rule):
         for node, scope in zip(module.nodes, module.scopes):
             ctx_names = ctx_in[scope]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                ctx_in[node] = ctx_names | _context_param_names(node)
+                ctx_in[node] = ctx_names.union(context_params(node))
             elif isinstance(node, ast.ClassDef):
                 ctx_in[node] = ctx_names
             elif ctx_names:

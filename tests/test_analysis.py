@@ -881,9 +881,11 @@ class TestDriver:
     def test_every_rule_reads_one_walk_of_each_module(self, tmp_path,
                                                       monkeypatch):
         # A traversal of a module starts with ast.iter_child_nodes on its
-        # root (ast.walk too).  All rules together may start one per
-        # module, the node index, plus one for the parent map in a module
-        # where a rule asks for it: pipeline.py's sorted(os.listdir(...)).
+        # root (ast.walk too).  On a cold run all rules together may start
+        # one per module, the node index, plus one for the parent map in a
+        # module where a rule asks for it: pipeline.py's
+        # sorted(os.listdir(...)).  A warm run over the unchanged tree
+        # takes everything from the module records and starts none.
         write_tree(tmp_path, {
             "helpers.py": """
                 import time
@@ -922,14 +924,15 @@ class TestDriver:
             return iter_child_nodes(node)
 
         monkeypatch.setattr(ast, "iter_child_nodes", counting)
-        for computed in (3, 0):
+        cold = {"helpers.py": 1, "pipeline.py": 2, "policy.py": 1}
+        warm = dict.fromkeys(cold, 0)
+        for computed, expected in ((3, cold), (0, warm)):
             starts.clear()
             result = analyze_paths([tmp_path], root=tmp_path,
                                    flow_cache_dir=tmp_path / "cache")
             assert result.flow_stats["computed"] == computed
             assert {module.display: starts[id(module.tree)]
-                    for module in result.modules} == {
-                "helpers.py": 1, "pipeline.py": 2, "policy.py": 1}
+                    for module in result.modules} == expected
 
 
 # ------------------------------------------------------------- self-check

@@ -80,6 +80,17 @@ class TestOutputFormats:
         (finding,) = payload["findings"]
         assert finding["rule"] == "DET001"
         assert finding["line"] == 2
+        assert payload["suppressed"] == []
+
+    def test_json_report_lists_suppressed_findings(self, tmp_path, capsys):
+        target = project(
+            tmp_path, "import time\nSTAMP = time.time()  # repro: noqa\n")
+        assert lint_main(["--format", "json", str(target)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["findings"] == []
+        assert payload["counts"]["suppressed"] == 1
+        (suppressed,) = payload["suppressed"]
+        assert (suppressed["rule"], suppressed["line"]) == ("DET001", 2)
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0

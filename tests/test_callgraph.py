@@ -14,7 +14,9 @@ import textwrap
 
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.core import ModuleInfo, Project, scope_walk
+from repro.analysis.driver import analyze_paths, load_project
 from repro.analysis.flow import ProjectFlowAnalysis
+from repro.analysis.records import RecordStore
 
 
 def make_project(**modules):
@@ -334,3 +336,113 @@ class TestEdges:
             b="def g():\n    pass\n"))
         assert [info.qname for info in graph.functions_of_module("a")] == [
             "a.f"]
+
+
+class TestSymbolsFromRecords:
+    SOURCES = {
+        "pkg/__init__.py": "",
+        "pkg/base.py": """
+            import functools
+
+            class Base:
+                def run(self, ctx):
+                    return ctx
+
+            def _impl(x):
+                return x
+
+            run = _impl
+            """,
+        "pkg/mod.py": """
+            import functools
+            from pkg import base as b
+            from pkg.base import Base
+
+            class Late(Early):  # Early is defined below: stays unresolved
+                pass
+
+            class Early(b.Base):
+                @property
+                def size(self):
+                    return 1
+
+                @size.setter
+                def size(self, value):
+                    self._size = value
+
+                @staticmethod
+                def make(policy: "PolicyContext", *args, ctx=None, **kw):
+                    class Local(Base):
+                        def inner(self):
+                            def deepest():
+                                return 0
+                            return deepest()
+                    return Local
+
+            try:
+                def pick():
+                    return 1
+
+                class Backend:
+                    def fast(self):
+                        return 1
+            except ImportError:
+                def pick():
+                    return 2
+
+                class Backend:
+                    def slow(self):
+                        return 2
+
+            @functools.lru_cache(maxsize=None)
+            def cached(x):
+                def helper():
+                    return x
+                return helper
+            """,
+    }
+
+    def shape(self, graph):
+        functions = {
+            qname: (info.name, info.module.display, info.class_qname,
+                    info.params, info.decorators, info.line,
+                    info.enclosing.qname if info.enclosing else None,
+                    info.ctx_params)
+            for qname, info in graph.functions.items()}
+        classes = {
+            qname: (info.name, info.module.display, info.line, info.bases,
+                    {name: method.qname
+                     for name, method in info.methods.items()})
+            for qname, info in graph.classes.items()}
+        return (list(graph.functions), functions, list(graph.classes),
+                classes, graph.module_scope)
+
+    def test_a_graph_from_records_equals_one_from_trees(self, tmp_path):
+        for name, source in self.SOURCES.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(textwrap.dedent(source))
+        cache = tmp_path / "cache"
+        analyze_paths([tmp_path / "pkg"], root=tmp_path,
+                      flow_cache_dir=cache)
+        from_records, _ = load_project([tmp_path / "pkg"], root=tmp_path,
+                                       records=RecordStore(cache))
+        assert all(module.record is not None
+                   for module in from_records.modules)
+        from_trees, _ = load_project([tmp_path / "pkg"], root=tmp_path)
+        graph = build_callgraph(from_records)
+        assert self.shape(graph) == self.shape(build_callgraph(from_trees))
+        assert graph.classes["pkg.mod.Late"].bases == ("Early",)
+        # Each method joins the class statement it is defined in.
+        assert list(graph.classes["pkg.mod.Backend"].methods) == ["slow"]
+        assert graph.classes["pkg.mod.Early"].bases == ("pkg.base.Base",)
+        make = graph.functions["pkg.mod.Early.make"]
+        assert make.ctx_params == ("policy", "ctx")
+        # A node is found by qname and line: the later of two defs that
+        # share a qname, the setter over the getter.
+        assert graph.functions["pkg.mod.pick"].node.body[0].value.value == 2
+        assert len(graph.functions["pkg.mod.Early.size"].node.args.args) == 2
+        inner = graph.functions[
+            "pkg.mod.Early.make.<locals>.Local.inner.<locals>.deepest"]
+        assert inner.node.name == "deepest"
+        assert inner.enclosing.qname == (
+            "pkg.mod.Early.make.<locals>.Local.inner")

@@ -150,6 +150,67 @@ class TestTaintedIdentity:
         assert "returned via stamp()" in findings[0].message
 
 
+    def _store_then_digest(self, store):
+        return flow(f"""
+            import hashlib
+            import json
+            import time
+
+            def _digest(payload):
+                text = json.dumps(payload, sort_keys=True)
+                return hashlib.sha256(text.encode()).hexdigest()
+
+            def isolated_key(name):
+                {store}
+                return _digest(payload)
+
+            def stamped():
+                return isolated_key(str(time.time()))
+            """)
+
+    def test_a_dict_literal_carries_its_values_taint(self):
+        findings = self._store_then_digest('payload = {"kernel": name}')
+        assert rules_of(findings) == ["FLOW001"]
+        assert "passed to isolated_key()" in findings[0].message
+
+    def test_a_subscript_store_carries_its_values_taint(self):
+        # The twin of the dict literal: storing into the payload by
+        # subscript joins the value into what the payload holds.
+        findings = self._store_then_digest(
+            'payload = {}\n                payload["kernel"] = name')
+        assert rules_of(findings) == ["FLOW001"]
+        assert "passed to isolated_key()" in findings[0].message
+
+    def test_a_diamond_keeps_one_sink_per_key_and_one_finding(self):
+        # top reaches the sink through left and through right; one
+        # witness per (param, rule, sink, line) is enough, so the
+        # summary and the caller's findings do not grow per call path.
+        source = """
+            import hashlib
+            import time
+
+            def sink(value):
+                return hashlib.sha256(value.encode()).hexdigest()
+
+            def left(value):
+                return sink(value)
+
+            def right(value):
+                return sink(value)
+
+            def top(value):
+                return left(value) + right(value)
+
+            def caller():
+                return top(str(time.time()))
+            """
+        sinks = analysis_of(source).facts_for("mod.top").param_sinks
+        assert [(sink.param, sink.rule, sink.line) for sink in sinks] == [
+            (0, "FLOW001", 6)]
+        assert len(next(iter(sinks)).trace) == 2
+        assert rules_of(flow(source)) == ["FLOW001"]
+
+
 # ------------------------------------------------------------ FLOW002
 
 
@@ -177,6 +238,34 @@ class TestTaintedSortKey:
         findings = flow("""
             def order(tbs):
                 return sorted(tbs, key=lambda tb: tb.name)
+            """)
+        assert findings == []
+
+    def test_a_nested_def_used_as_key(self):
+        # The key name resolves through the enclosing function's
+        # <locals> first, as a call to it would.
+        findings = flow("""
+            import time
+
+            def order(xs):
+                def stamp(x):
+                    return time.time()
+                return sorted(xs, key=stamp)
+            """)
+        assert rules_of(findings) == ["FLOW002"]
+        assert "wall-clock read time.time()" in findings[0].message
+
+    def test_a_nested_key_shadows_a_module_level_one(self):
+        findings = flow("""
+            import time
+
+            def stamp(x):
+                return time.time()
+
+            def order(xs):
+                def stamp(x):
+                    return x
+                return sorted(xs, key=stamp)
             """)
         assert findings == []
 
@@ -256,6 +345,93 @@ class TestFloatAccumulation:
                 return acc
             """)
         assert findings == []
+
+    def test_a_nested_defs_float_does_not_type_the_outer_name(self):
+        findings = flow("""
+            def total(values):
+                def reset():
+                    acc = 0.0
+                    return acc
+                acc = 0
+                for value in set(values):
+                    acc += value
+                return acc + reset()
+            """)
+        assert findings == []
+
+    def test_an_outer_float_does_not_type_a_nested_defs_name(self):
+        findings = flow("""
+            def total(values):
+                acc = 0.0
+                def inner(items):
+                    acc = 0
+                    for item in set(items):
+                        acc += item
+                    return acc
+                return inner(values) + acc
+            """)
+        assert findings == []
+
+    def test_a_functions_float_does_not_type_a_module_level_name(self):
+        findings = flow("""
+            def helper():
+                total = 0.0
+                return total
+
+            total = 0
+            for value in set([1, 2]):
+                total += value
+            """)
+        assert findings == []
+
+    def test_each_body_types_its_own_names(self):
+        findings = flow("""
+            def total(values):
+                def inner(items):
+                    acc = 0.0
+                    for item in set(items):
+                        acc += item
+                    return acc
+                return inner(values)
+
+            total = 0.0
+            for value in set([1.0, 2.0]):
+                total += value
+            """)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("FLOAT001", 6), ("FLOAT001", 12)]
+
+    def test_float_names_come_from_the_body_walk(self, monkeypatch):
+        # Collecting float names walks each body once with the rest of
+        # the analysis.  The only traversals from a module root are the
+        # module's node index and the parent map the += check asks for;
+        # none starts at a module made up to walk one body.
+        source = textwrap.dedent("""
+            def total(values):
+                acc = 0.0
+                for value in values:
+                    acc += value
+                return acc
+
+            class Sums:
+                def add(self, values):
+                    return total(values)
+            """)
+        roots = []
+        iter_child_nodes = ast.iter_child_nodes
+
+        def counting(node):
+            if isinstance(node, ast.Module):
+                roots.append(node)
+            return iter_child_nodes(node)
+
+        monkeypatch.setattr(ast, "iter_child_nodes", counting)
+        module = ModuleInfo(path=pathlib.Path("mod.py"), display="mod.py",
+                            source=source, tree=ast.parse(source),
+                            name="mod")
+        engine = ProjectFlowAnalysis(Project([module]))
+        assert engine.stats["computed"] == 1
+        assert [id(root) for root in roots] == [id(module.tree)] * 2
 
 
 # ----------------------------------------------------- effect inference
@@ -564,6 +740,253 @@ class TestSummaryCache:
                                rule_ids=self.RULES, flow_cache=False)
         assert first.flow_stats["computed"] == 3
         assert second.flow_stats["computed"] == 3
+
+
+def write_record_tree(root):
+    """A tree with a flow finding, module-rule findings, a suppression,
+    a class hierarchy and an import chain core <- mid <- top."""
+    files = {
+        "pkg/__init__.py": "",
+        "pkg/core.py": """
+            import time
+
+            def stamp():
+                return time.time()  # repro: noqa=DET001
+
+            class Base:
+                def label(self):
+                    return "base"
+            """,
+        "pkg/mid.py": """
+            import hashlib
+
+            from pkg.core import Base, stamp
+
+            class Keyed(Base):
+                def key(self):
+                    return hashlib.sha256(str(stamp()).encode()).hexdigest()
+            """,
+        "pkg/top.py": """
+            from pkg.mid import Keyed
+
+            def build():
+                return Keyed().key()
+            """,
+        "pkg/leaf.py": """
+            def double(x):
+                def twice():
+                    return 2 * x
+                return twice()
+
+            for name in {"a", "b"}:
+                print(name)
+            """,
+    }
+    for name, source in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+
+
+def as_rows(result):
+    return [[(f.rule, f.severity, f.path, f.line, f.message) for f in group]
+            for group in (result.findings, result.suppressed)]
+
+
+class TestModuleRecords:
+    """One record per module: a warm run parses only what changed, and a
+    broken record recovers with the result of an uncached run."""
+
+    def run(self, root, cache):
+        return analyze_paths([root / "pkg"], root=root, flow_cache_dir=cache)
+
+    def uncached(self, root):
+        return as_rows(analyze_paths([root / "pkg"], root=root,
+                                     flow_cache=False))
+
+    def parsed(self, monkeypatch, root, cache):
+        """The run's result and the files it parsed, in parse order."""
+        files = []
+        parse = ast.parse
+
+        def counting(source, filename="<unknown>", mode="exec", **kwargs):
+            if mode == "exec":
+                files.append(pathlib.Path(filename).relative_to(root)
+                             .as_posix())
+            return parse(source, filename, mode, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting)
+        try:
+            return self.run(root, cache), files
+        finally:
+            monkeypatch.setattr(ast, "parse", parse)
+
+    def test_one_record_per_module(self, tmp_path):
+        write_record_tree(tmp_path)
+        result = self.run(tmp_path, tmp_path / "cache")
+        assert len(sorted((tmp_path / "cache").iterdir())) == len(
+            result.modules) == 5
+        assert rules_of(result.findings) == ["DET003", "FLOW001"]
+        assert rules_of(result.suppressed) == ["DET001"]
+
+    def test_a_warm_run_parses_nothing(self, tmp_path, monkeypatch):
+        write_record_tree(tmp_path)
+        cache = tmp_path / "cache"
+        cold, parsed = self.parsed(monkeypatch, tmp_path, cache)
+        assert len(parsed) == 5
+        warm, parsed = self.parsed(monkeypatch, tmp_path, cache)
+        assert parsed == []
+        assert warm.flow_stats == {"modules": 5, "computed": 0, "cached": 5}
+        assert as_rows(warm) == as_rows(cold) == self.uncached(tmp_path)
+
+    def test_a_leaf_edit_parses_the_leaf_alone(self, tmp_path, monkeypatch):
+        write_record_tree(tmp_path)
+        cache = tmp_path / "cache"
+        self.run(tmp_path, cache)
+        with (tmp_path / "pkg" / "leaf.py").open("a") as stream:
+            stream.write("# edited\n")
+        result, parsed = self.parsed(monkeypatch, tmp_path, cache)
+        assert parsed == ["pkg/leaf.py"]
+        assert result.flow_stats["computed"] == 1
+        assert as_rows(result) == self.uncached(tmp_path)
+
+    def test_a_core_edit_parses_it_and_its_importers(self, tmp_path,
+                                                     monkeypatch):
+        write_record_tree(tmp_path)
+        cache = tmp_path / "cache"
+        self.run(tmp_path, cache)
+        with (tmp_path / "pkg" / "core.py").open("a") as stream:
+            stream.write("# edited\n")
+        result, parsed = self.parsed(monkeypatch, tmp_path, cache)
+        assert sorted(parsed) == ["pkg/core.py", "pkg/mid.py", "pkg/top.py"]
+        assert parsed[0] == "pkg/core.py"  # parsed at load, the others lazily
+        assert result.flow_stats["computed"] == 3
+        assert as_rows(result) == self.uncached(tmp_path)
+
+    def test_the_salted_cache_module_is_the_one_warm_parse(self, tmp_path,
+                                                           monkeypatch):
+        # SALT001/002 read the _SALTED tuple off repro.harness.cache's tree.
+        files = {"repro/__init__.py": "", "repro/harness/__init__.py": "",
+                 "repro/harness/cache.py": '_SALTED = ("harness",)\n',
+                 "repro/helper.py": "def helper():\n    return 1\n"}
+        for name, source in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(source)
+        cache = tmp_path / "cache"
+
+        def lint():
+            return analyze_paths([tmp_path / "repro"], root=tmp_path,
+                                 flow_cache_dir=cache)
+
+        lint()
+        parse = ast.parse
+        parsed = []
+
+        def counting(source, filename="<unknown>", mode="exec", **kwargs):
+            if mode == "exec":
+                parsed.append(pathlib.Path(filename).name)
+            return parse(source, filename, mode, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting)
+        assert lint().flow_stats["computed"] == 0
+        assert parsed == ["cache.py"]
+
+    # ---------------------------------------------------- fault injection
+
+    def record_of(self, root, display):
+        from repro.analysis.records import RecordStore
+        return RecordStore(root / "cache").path(display)
+
+    def test_a_truncated_record_is_recomputed(self, tmp_path):
+        write_record_tree(tmp_path)
+        self.run(tmp_path, tmp_path / "cache")
+        record = self.record_of(tmp_path, "pkg/mid.py")
+        text = record.read_text()
+        record.write_text(text[:len(text) // 2])
+        result = self.run(tmp_path, tmp_path / "cache")
+        assert result.flow_stats["computed"] == 1
+        assert as_rows(result) == self.uncached(tmp_path)
+        assert record.read_text() == text
+
+    def test_a_record_of_another_module_is_ignored(self, tmp_path):
+        write_record_tree(tmp_path)
+        self.run(tmp_path, tmp_path / "cache")
+        mid = self.record_of(tmp_path, "pkg/mid.py")
+        top = self.record_of(tmp_path, "pkg/top.py")
+        text = top.read_text()
+        top.write_text(mid.read_text())
+        result = self.run(tmp_path, tmp_path / "cache")
+        assert result.flow_stats["computed"] == 1
+        assert as_rows(result) == self.uncached(tmp_path)
+        assert top.read_text() == text
+
+    def test_a_record_under_another_dotted_name_is_ignored(self, tmp_path):
+        # Without pkg/__init__.py, pkg/mid.py is the module "mid"; the
+        # same file under the same display path is "pkg.mid" again once
+        # the package marker is back.
+        write_record_tree(tmp_path)
+        marker = tmp_path / "pkg" / "__init__.py"
+        marker.unlink()
+        cache = tmp_path / "cache"
+        self.run(tmp_path, cache)
+        marker.write_text("")
+        result = self.run(tmp_path, cache)
+        assert result.flow_stats["cached"] == 0
+        assert as_rows(result) == self.uncached(tmp_path)
+
+    def test_a_stale_analyzer_salt_recomputes_everything(self, tmp_path,
+                                                         monkeypatch):
+        from repro.analysis import records
+        write_record_tree(tmp_path)
+        salt = records.analysis_salt()
+        monkeypatch.setattr(records, "analysis_salt", lambda: "stale")
+        self.run(tmp_path, tmp_path / "cache")
+        monkeypatch.setattr(records, "analysis_salt", lambda: salt)
+        result = self.run(tmp_path, tmp_path / "cache")
+        assert result.flow_stats == {"modules": 5, "computed": 5,
+                                     "cached": 0}
+        assert as_rows(result) == self.uncached(tmp_path)
+
+    def test_a_stale_closure_key_recomputes_the_flow_alone(self, tmp_path,
+                                                           monkeypatch):
+        import json
+        write_record_tree(tmp_path)
+        self.run(tmp_path, tmp_path / "cache")
+        record = self.record_of(tmp_path, "pkg/mid.py")
+        payload = json.loads(record.read_text())
+        payload["closure"]["key"] = "stale"
+        record.write_text(json.dumps(payload))
+        result, parsed = self.parsed(monkeypatch, tmp_path,
+                                     tmp_path / "cache")
+        assert parsed == ["pkg/mid.py"]
+        assert result.flow_stats["computed"] == 1
+        assert as_rows(result) == self.uncached(tmp_path)
+        assert json.loads(record.read_text())["closure"]["key"] != "stale"
+
+    def test_an_unwritable_cache_directory_changes_nothing(self, tmp_path):
+        write_record_tree(tmp_path)
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"
+        for _ in range(2):
+            result = self.run(tmp_path, cache)
+            assert result.flow_stats["cached"] == 0
+            assert as_rows(result) == self.uncached(tmp_path)
+
+    def test_warm_facts_equal_uncached_facts(self, tmp_path):
+        from repro.analysis.driver import load_project
+        from repro.analysis.records import RecordStore
+        write_record_tree(tmp_path)
+        self.run(tmp_path, tmp_path / "cache")
+        store = RecordStore(tmp_path / "cache")
+        warm_project, _ = load_project([tmp_path / "pkg"], root=tmp_path,
+                                       records=store)
+        warm_project.records = store
+        warm = ProjectFlowAnalysis(warm_project)
+        cold_project, _ = load_project([tmp_path / "pkg"], root=tmp_path)
+        cold = ProjectFlowAnalysis(cold_project)
+        assert warm.stats["cached"] == 5
+        assert warm.facts == cold.facts
+        assert warm.module_findings == cold.module_findings
 
 
 class TestCacheDirResolution:
