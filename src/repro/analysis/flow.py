@@ -627,6 +627,13 @@ class _FunctionAnalysis:
 
     def _bind(self, target: ast.AST, value: AbsValue,
               env: Dict[str, AbsValue]) -> None:
+        # A store runs its subscript and any non-Name base before binding:
+        # ``cache[sha256(...)] = value`` calls the sink.
+        if isinstance(target, ast.Subscript):
+            self._eval(target.slice, env)
+        if (isinstance(target, (ast.Subscript, ast.Attribute))
+                and not isinstance(target.value, ast.Name)):
+            self._eval(target.value, env)
         if isinstance(target, ast.Name):
             env[target.id] = value
         elif isinstance(target, (ast.Tuple, ast.List)):
@@ -659,6 +666,9 @@ class _FunctionAnalysis:
               and isinstance(target.value, ast.Name)):
             key = f"{target.value.id}.{target.attr}"
             env[key] = env.get(key, EMPTY).join(value)
+        elif isinstance(target, ast.Subscript):
+            # ``payload["stamp"] += v`` stores like ``payload["stamp"] = v``.
+            self._bind(target, value, env)
 
     # ------------------------------------------------------------ eval
 

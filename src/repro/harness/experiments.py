@@ -1,16 +1,19 @@
 """One entry point per table/figure of the paper's evaluation (Section 4).
 
 Every experiment returns an :class:`ExperimentResult` holding both the
-formatted paper-style table and the raw data used by tests and benchmarks.
-Underlying simulations are shared across experiments through a per-suite
-:class:`~repro.harness.runner.CaseRunner` memo, exactly as the paper's
-figures all slice one set of runs.
+formatted paper-style table and the raw data that the shape claims of
+:mod:`repro.harness.paper` read and the provenance footer digests.  Each
+figure runs its grid as one registered sweep and slices the records it
+returns; simulations are shared across figures through a per-suite
+:class:`~repro.harness.runner.CaseRunner` memo and the case cache, as the
+paper's figures all slice one set of runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.config import GPUConfig, PreemptionConfig
 from repro.kernels import intensity_class, pair_class
@@ -27,8 +30,10 @@ from repro.harness.cache import code_salt, open_default_cache
 from repro.harness.expdb import open_default_expdb
 from repro.harness.parallel import ParallelCaseRunner
 from repro.harness.presets import ExperimentPreset, FAST_PRESET
-from repro.harness.report import format_table, provenance_footer, series_rows
-from repro.harness.runner import CaseRecord, CaseRunner, CaseSpec
+from repro.harness.report import (format_table, output_digest,
+                                  provenance_footer, series_rows)
+from repro.harness.runner import (CaseRecord, CaseRunner, CaseSpec,
+                                  SweepRunner)
 
 PAIR_POLICIES = ("spart", "naive", "elastic", "rollover")
 
@@ -55,10 +60,11 @@ class ExperimentResult:
 class ExperimentSuite:
     """Shares simulation runs across the figures of one preset.
 
-    Each figure driver submits its *full* case list up front through
-    :meth:`CaseRunner.sweep`, so independent cases fan out over the parallel
-    runner's process pool and the per-figure loops below are pure memo
-    slicing.  ``workers`` follows :func:`repro.harness.parallel.resolve_workers`
+    Each figure driver submits its *full* case list as one sweep
+    (:meth:`_cases`), so independent cases fan out over the parallel
+    runner's process pool, the grid is one experiment in the store, and
+    the figure slices the records that sweep returns.  ``workers`` follows
+    :func:`repro.harness.parallel.resolve_workers`
     (``REPRO_WORKERS`` env, else cores-1); ``cache`` defaults to the shared
     persistent store unless ``REPRO_CACHE=0`` disables it.
     """
@@ -70,8 +76,10 @@ class ExperimentSuite:
         self.workers = workers
         self.cache = open_default_cache() if cache == "default" else cache
         self.expdb = open_default_expdb() if expdb == "default" else expdb
-        self._runners: Dict[Tuple[GPUConfig, int], CaseRunner] = {}
-        self._serve_runners: Dict[tuple, object] = {}
+        #: Every runner whose ``experiment_log`` feeds figure provenance:
+        #: co-run runners under ``(gpu, cycles)``, serving runners under
+        #: ``("serve", gpu)``.
+        self._runners: Dict[tuple, SweepRunner] = {}
 
     def runner(self, gpu: Optional[GPUConfig] = None,
                cycles: Optional[int] = None) -> CaseRunner:
@@ -89,65 +97,76 @@ class ExperimentSuite:
         sweeps."""
         from repro.serve.runner import ServeRunner
         key = ("serve", gpu or self.preset.gpu)
-        if key not in self._serve_runners:
-            self._serve_runners[key] = ServeRunner(
+        if key not in self._runners:
+            self._runners[key] = ServeRunner(
                 gpu or self.preset.gpu, cache=self.cache, expdb=self.expdb,
                 workers=self.workers)
-        return self._serve_runners[key]
-
-    def _provenance_sources(self) -> Dict:
-        """Every runner whose ``experiment_log`` feeds figure provenance
-        (co-run keys are ``(gpu, cycles)``, serving keys ``("serve", gpu)``
-        — they cannot collide)."""
-        sources: Dict = dict(self._runners)
-        sources.update(self._serve_runners)
-        return sources
+        return self._runners[key]
 
     # ----------------------------------------------------------- sweeps
 
-    def pair_cases(self, policy: str, goal: float,
-                   gpu: Optional[GPUConfig] = None) -> List[CaseRecord]:
-        # register=False: figure drivers submit their full grid through
-        # _sweep_pairs first; these per-(policy, goal) re-sweeps are memo
-        # slices and must not flood the store with sub-experiments.
-        return self.runner(gpu).sweep(
-            [CaseSpec.pair(qos, nonqos, goal, policy)
-             for qos, nonqos in self.preset.pairs], register=False)
+    def _cases(self, policies: Sequence[str], goals: Sequence[float],
+               qos_count: int = 0, gpu: Optional[GPUConfig] = None,
+               units: Optional[Sequence] = None
+               ) -> Dict[Tuple[str, float], List[CaseRecord]]:
+        """Run one figure's grid as one registered sweep; records keyed by
+        ``(policy, goal)``, each list in unit order.
 
-    def trio_cases(self, policy: str, goal: float,
-                   qos_count: int) -> List[CaseRecord]:
-        return self.runner().sweep(
-            [CaseSpec.trio(trio, qos_count, goal, policy)
-             for trio in self.preset.trios], register=False)
+        Units are the preset's pairs (``qos_count`` 0) or its trios with
+        ``qos_count`` QoS kernels, unless ``units`` names them.  Specs go
+        in policy, goal, unit order, which fixes the experiment id.
+        """
+        if units is None:
+            units = self.preset.trios if qos_count else self.preset.pairs
 
-    def _sweep_pairs(self, policies: Sequence[str], goals: Sequence[float],
-                     gpu: Optional[GPUConfig] = None) -> None:
-        """Submit a whole figure's pair grid in one parallel batch."""
-        self.runner(gpu).sweep(
-            [CaseSpec.pair(qos, nonqos, goal, policy)
-             for policy in policies for goal in goals
-             for qos, nonqos in self.preset.pairs])
+        def spec(unit, goal: float, policy: str) -> CaseSpec:
+            if qos_count:
+                return CaseSpec.trio(unit, qos_count, goal, policy)
+            return CaseSpec.pair(*unit, goal, policy)
 
-    def _sweep_trios(self, policies: Sequence[str], goals: Sequence[float],
-                     qos_count: int) -> None:
-        """Submit a whole figure's trio grid in one parallel batch."""
-        self.runner().sweep(
-            [CaseSpec.trio(trio, qos_count, goal, policy)
-             for policy in policies for goal in goals
-             for trio in self.preset.trios])
+        grid = [(policy, goal) for policy in policies for goal in goals]
+        records = self.runner(gpu).sweep(
+            [spec(unit, goal, policy) for policy, goal in grid
+             for unit in units])
+        size = len(units)
+        return {key: records[i * size:(i + 1) * size]
+                for i, key in enumerate(grid)}
 
-    def _goal_label(self, goal: float, qos_count: int = 1) -> str:
+    def _series(self, experiment_id: str, title: str, heading: str,
+                metric: Callable[[List[CaseRecord]], Optional[float]],
+                policies: Sequence[str], goals: Sequence[float],
+                notes: Union[str, Callable[[Dict], str]], qos_count: int = 0,
+                gpu: Optional[GPUConfig] = None) -> ExperimentResult:
+        """A figure that is ``metric`` over policy x goal, plus each
+        policy's average over the goals it measured.  ``notes`` is the
+        table's footnote, or a function of the series that returns it."""
+        cases = self._cases(policies, goals, qos_count, gpu)
+        labels = [self._goal_label(goal, qos_count) for goal in goals]
+        series = {}
+        for policy in policies:
+            row = {label: metric(cases[policy, goal])
+                   for label, goal in zip(labels, goals)}
+            values = [value for value in row.values() if value is not None]
+            row["AVG"] = _mean(values) if values else None
+            series[policy] = row
+        rows = series_rows(labels + ["AVG"], series, policies)
+        if callable(notes):
+            notes = notes(series)
+        return ExperimentResult(
+            experiment_id, title,
+            format_table(heading, "goal", policies, rows, notes),
+            data={"series": series})
+
+    def _goal_label(self, goal: float, qos_count: int = 0) -> str:
         percent = f"{int(round(goal * 100))}%"
-        return percent if qos_count == 1 else f"2x{percent}"
+        return percent if qos_count < 2 else f"2x{percent}"
 
     # ------------------------------------------------------------ figures
 
     def fig05(self) -> ExperimentResult:
         """Figure 5: miss-distance histogram for Naïve + History adjustment."""
-        self._sweep_pairs(("history",), self.preset.pair_goals)
-        cases: List[CaseRecord] = []
-        for goal in self.preset.pair_goals:
-            cases.extend(self.pair_cases("history", goal))
+        by_goal = self._cases(("history",), self.preset.pair_goals)
+        cases = [case for records in by_goal.values() for case in records]
         histogram = miss_histogram(cases)
         overshoot = mean_qos_overshoot(cases, met_only=True)
         total = len(cases)
@@ -165,45 +184,20 @@ class ExperimentSuite:
 
     def fig06a(self) -> ExperimentResult:
         """Figure 6a: QoSreach vs goal for two-kernel pairs, four schemes."""
-        self._sweep_pairs(PAIR_POLICIES, self.preset.pair_goals)
-        series = {policy: {} for policy in PAIR_POLICIES}
-        for policy in PAIR_POLICIES:
-            for goal in self.preset.pair_goals:
-                label = self._goal_label(goal)
-                series[policy][label] = qos_reach(self.pair_cases(policy, goal))
-            series[policy]["AVG"] = _mean(series[policy].values())
-        labels = [self._goal_label(g) for g in self.preset.pair_goals] + ["AVG"]
-        rows = series_rows(labels, series, PAIR_POLICIES)
-        return ExperimentResult(
+        return self._series(
             "fig06a", "Figure 6a: QoSreach vs QoS goals (pairs)",
-            format_table("Figure 6a: QoSreach (pairs)", "goal",
-                         PAIR_POLICIES, rows,
-                         "paper AVG: Spart 0.788, Naive 0.206, Rollover 0.884"),
-            data={"series": series},
-        )
+            "Figure 6a: QoSreach (pairs)", qos_reach, PAIR_POLICIES,
+            self.preset.pair_goals,
+            "paper AVG: Spart 0.788, Naive 0.206, Rollover 0.884")
 
     def _fig06_trio(self, qos_count: int, goals: Sequence[float],
                     figure: str) -> ExperimentResult:
-        policies = ("spart", "rollover")
-        self._sweep_trios(policies, goals, qos_count)
-        series = {policy: {} for policy in policies}
-        for policy in policies:
-            for goal in goals:
-                label = self._goal_label(goal, qos_count)
-                series[policy][label] = qos_reach(
-                    self.trio_cases(policy, goal, qos_count))
-            series[policy]["AVG"] = _mean(series[policy].values())
-        labels = [self._goal_label(g, qos_count) for g in goals] + ["AVG"]
-        rows = series_rows(labels, series, policies)
         title = (f"Figure {figure}: QoSreach (trios, {qos_count} QoS kernel"
                  f"{'s' if qos_count > 1 else ''})")
-        return ExperimentResult(
-            f"fig{figure}", title,
-            format_table(title, "goal", policies, rows,
-                         "paper: Rollover beats Spart by "
-                         + ("43.8%" if qos_count == 2 else "18.8%")),
-            data={"series": series},
-        )
+        return self._series(
+            f"fig{figure}", title, title, qos_reach, ("spart", "rollover"),
+            goals, "paper: Rollover beats Spart by "
+                   + ("43.8%" if qos_count == 2 else "18.8%"), qos_count)
 
     def fig06b(self) -> ExperimentResult:
         return self._fig06_trio(1, self.preset.pair_goals, "06b")
@@ -214,174 +208,101 @@ class ExperimentSuite:
     def fig07(self) -> ExperimentResult:
         """Figure 7: QoSreach per QoS benchmark + C/M pairing summary."""
         policies = ("spart", "rollover")
-        per_kernel: Dict[str, Dict[str, List[CaseRecord]]] = {
+        classes = ("C+C", "C+M", "M+M")
+        pools: Dict[str, Dict[str, List[CaseRecord]]] = {
             policy: {} for policy in policies}
-        per_class: Dict[str, Dict[str, List[CaseRecord]]] = {
-            policy: {"C+C": [], "C+M": [], "M+M": []} for policy in policies}
-        self._sweep_pairs(policies, self.preset.pair_goals)
-        for policy in policies:
-            for goal in self.preset.pair_goals:
-                for case in self.pair_cases(policy, goal):
-                    qos_kernel = case.qos_kernels[0]
-                    nonqos_kernel = case.nonqos_kernels[0]
-                    per_kernel[policy].setdefault(qos_kernel.name, []).append(case)
-                    klass = pair_class(qos_kernel.name, nonqos_kernel.name)
-                    per_class[policy][klass].append(case)
-        kernel_names = sorted(per_kernel["rollover"])
-        rows = []
-        series = {policy: {} for policy in policies}
-        for name in kernel_names + ["C+C", "C+M", "M+M"]:
-            row = [name]
-            for policy in policies:
-                pool = (per_kernel[policy].get(name)
-                        if name in kernel_names else per_class[policy][name])
-                value = qos_reach(pool or [])
-                series[policy][name] = value
-                row.append(value)
-            rows.append(tuple(row))
+        cases = self._cases(policies, self.preset.pair_goals)
+        for (policy, _), records in cases.items():
+            for case in records:
+                qos = case.qos_kernels[0].name
+                klass = pair_class(qos, case.nonqos_kernels[0].name)
+                for name in (qos, klass):
+                    pools[policy].setdefault(name, []).append(case)
+        names = sorted(set(pools["rollover"]) - set(classes)) + list(classes)
+        series = {policy: {name: qos_reach(pools[policy].get(name, []))
+                           for name in names} for policy in policies}
         return ExperimentResult(
             "fig07", "Figure 7: QoSreach vs QoS kernel (pairs)",
             format_table("Figure 7: QoSreach per QoS kernel", "QoS kernel",
-                         policies, rows,
+                         policies, series_rows(names, series, policies),
                          "paper: both reach all C+C cases; Rollover > Spart "
                          "for C+M and M+M; histo poor for both"),
             data={"series": series},
         )
 
     def _throughput_figure(self, figure: str, title: str, policies,
-                           goals: Sequence[float], qos_count: int,
-                           trio: bool) -> ExperimentResult:
-        if trio:
-            self._sweep_trios(policies, goals, qos_count)
-        else:
-            self._sweep_pairs(policies, goals)
-        series = {policy: {} for policy in policies}
-        for policy in policies:
-            for goal in goals:
-                label = self._goal_label(goal, qos_count)
-                cases = (self.trio_cases(policy, goal, qos_count) if trio
-                         else self.pair_cases(policy, goal))
-                series[policy][label] = mean_nonqos_throughput(cases)
-            values = [v for v in series[policy].values() if v is not None]
-            series[policy]["AVG"] = _mean(values) if values else None
-        labels = [self._goal_label(g, qos_count) for g in goals] + ["AVG"]
-        rows = series_rows(labels, series, policies)
-        return ExperimentResult(
-            figure, title,
-            format_table(title, "goal", policies, rows,
-                         "normalised to isolated execution; QoS-met cases only"),
-            data={"series": series},
-        )
+                           goals: Sequence[float],
+                           qos_count: int = 0) -> ExperimentResult:
+        return self._series(
+            figure, title, title, mean_nonqos_throughput, policies, goals,
+            "normalised to isolated execution; QoS-met cases only", qos_count)
 
     def fig08a(self) -> ExperimentResult:
         return self._throughput_figure(
             "fig08a", "Figure 8a: non-QoS throughput (pairs)",
-            ("spart", "rollover"), self.preset.pair_goals, 1, trio=False)
+            ("spart", "rollover"), self.preset.pair_goals)
 
     def fig08b(self) -> ExperimentResult:
         return self._throughput_figure(
             "fig08b", "Figure 8b: non-QoS throughput (trios, 1 QoS)",
-            ("spart", "rollover"), self.preset.pair_goals, 1, trio=True)
+            ("spart", "rollover"), self.preset.pair_goals, 1)
 
     def fig08c(self) -> ExperimentResult:
         return self._throughput_figure(
             "fig08c", "Figure 8c: non-QoS throughput (trios, 2 QoS)",
-            ("spart", "rollover"), self.preset.trio2_goals, 2, trio=True)
+            ("spart", "rollover"), self.preset.trio2_goals, 2)
 
     def fig09(self) -> ExperimentResult:
         """Figure 9: QoS-kernel throughput normalised to its goal."""
-        policies = ("spart", "rollover")
-        self._sweep_pairs(policies, self.preset.pair_goals)
-        series = {policy: {} for policy in policies}
-        for policy in policies:
-            for goal in self.preset.pair_goals:
-                label = self._goal_label(goal)
-                series[policy][label] = mean_qos_overshoot(
-                    self.pair_cases(policy, goal))
-            values = [v for v in series[policy].values() if v is not None]
-            series[policy]["AVG"] = _mean(values) if values else None
-        labels = [self._goal_label(g) for g in self.preset.pair_goals] + ["AVG"]
-        rows = series_rows(labels, series, policies)
-        return ExperimentResult(
+        return self._series(
             "fig09", "Figure 9: QoS throughput normalised to goal (pairs)",
-            format_table("Figure 9: QoS overshoot", "goal", policies, rows,
-                         "paper AVG: Spart 1.116, Rollover 1.028"),
-            data={"series": series},
-        )
+            "Figure 9: QoS overshoot", mean_qos_overshoot,
+            ("spart", "rollover"), self.preset.pair_goals,
+            "paper AVG: Spart 1.116, Rollover 1.028")
 
     def fig10(self) -> ExperimentResult:
         """Figure 10: QoSreach, Rollover vs Rollover-Time."""
-        policies = ("rollover", "rollover-time")
-        self._sweep_pairs(policies, self.preset.pair_goals)
-        series = {policy: {} for policy in policies}
-        for policy in policies:
-            for goal in self.preset.pair_goals:
-                series[policy][self._goal_label(goal)] = qos_reach(
-                    self.pair_cases(policy, goal))
-            series[policy]["AVG"] = _mean(series[policy].values())
-        labels = [self._goal_label(g) for g in self.preset.pair_goals] + ["AVG"]
-        rows = series_rows(labels, series, policies)
-        return ExperimentResult(
+        return self._series(
             "fig10", "Figure 10: QoSreach, Rollover vs Rollover-Time",
-            format_table("Figure 10: QoSreach", "goal", policies, rows,
-                         "paper: within ~3% of each other on average"),
-            data={"series": series},
-        )
+            "Figure 10: QoSreach", qos_reach, ("rollover", "rollover-time"),
+            self.preset.pair_goals,
+            "paper: within ~3% of each other on average")
 
     def fig11(self) -> ExperimentResult:
         return self._throughput_figure(
             "fig11", "Figure 11: non-QoS throughput, Rollover vs Rollover-Time",
-            ("rollover", "rollover-time"), self.preset.pair_goals, 1,
-            trio=False)
+            ("rollover", "rollover-time"), self.preset.pair_goals)
 
     def _many_sm_figure(self, figure: str, title: str,
-                        metric: str) -> ExperimentResult:
-        policies = ("spart", "rollover")
+                        metric: Callable) -> ExperimentResult:
         gpu = self.preset.gpu_many_sm
-        self._sweep_pairs(policies, self.preset.pair_goals, gpu=gpu)
-        series = {policy: {} for policy in policies}
-        for policy in policies:
-            for goal in self.preset.pair_goals:
-                cases = self.pair_cases(policy, goal, gpu=gpu)
-                label = self._goal_label(goal)
-                if metric == "reach":
-                    series[policy][label] = qos_reach(cases)
-                else:
-                    series[policy][label] = mean_nonqos_throughput(cases)
-            values = [v for v in series[policy].values() if v is not None]
-            series[policy]["AVG"] = _mean(values) if values else None
-        labels = [self._goal_label(g) for g in self.preset.pair_goals] + ["AVG"]
-        rows = series_rows(labels, series, policies)
-        return ExperimentResult(
-            figure, title,
-            format_table(title, "goal", policies, rows,
-                         f"machine: {gpu.num_sms} SMs, "
-                         f"{gpu.sm.warp_schedulers} warp schedulers per SM"),
-            data={"series": series},
-        )
+        return self._series(
+            figure, title, title, metric, ("spart", "rollover"),
+            self.preset.pair_goals,
+            f"machine: {gpu.num_sms} SMs, "
+            f"{gpu.sm.warp_schedulers} warp schedulers per SM", gpu=gpu)
 
     def fig12(self) -> ExperimentResult:
         return self._many_sm_figure(
-            "fig12", "Figure 12: QoSreach on the many-SM machine", "reach")
+            "fig12", "Figure 12: QoSreach on the many-SM machine", qos_reach)
 
     def fig13(self) -> ExperimentResult:
         return self._many_sm_figure(
             "fig13", "Figure 13: non-QoS throughput on the many-SM machine",
-            "throughput")
+            mean_nonqos_throughput)
 
     def fig14(self) -> ExperimentResult:
         """Figure 14: inst/Watt improvement of Rollover over Spart (pairs)."""
+        goals = self.preset.pair_goals
+        cases = self._cases(("rollover", "spart"), goals)
         series = {"improvement": {}}
-        self._sweep_pairs(("rollover", "spart"), self.preset.pair_goals)
-        for goal in self.preset.pair_goals:
-            rollover = mean_instructions_per_watt(
-                self.pair_cases("rollover", goal))
-            spart = mean_instructions_per_watt(self.pair_cases("spart", goal))
+        for goal in goals:
             series["improvement"][self._goal_label(goal)] = improvement(
-                rollover, spart)
+                mean_instructions_per_watt(cases["rollover", goal]),
+                mean_instructions_per_watt(cases["spart", goal]))
         values = [v for v in series["improvement"].values() if v is not None]
         series["improvement"]["AVG"] = _mean(values) if values else None
-        labels = [self._goal_label(g) for g in self.preset.pair_goals] + ["AVG"]
+        labels = [self._goal_label(g) for g in goals] + ["AVG"]
         rows = series_rows(labels, series, ("improvement",))
         return ExperimentResult(
             "fig14", "Figure 14: inst/Watt improvement over Spart (pairs)",
@@ -437,14 +358,21 @@ class ExperimentSuite:
 
     # ---------------------------------------------------------- ablations
 
+    def _all_case_throughput(self, policy: str, goal: float,
+                             gpu: Optional[GPUConfig] = None,
+                             units: Optional[Sequence] = None
+                             ) -> Optional[float]:
+        """Non-QoS throughput over every case, goal met or not, of one
+        policy at one goal (Section 4.8's ablations count every case)."""
+        cases = self._cases((policy,), (goal,), gpu=gpu, units=units)
+        return mean_nonqos_throughput(cases[policy, goal], met_only=False)
+
     def sec48_preemption(self, goal: float = 0.80) -> ExperimentResult:
         """Section 4.8: preemption overhead on non-QoS throughput (~1.9%)."""
         free_gpu = self.preset.gpu.scaled(
             preemption=PreemptionConfig(enabled=False))
-        with_cost = mean_nonqos_throughput(
-            self.pair_cases("rollover", goal), met_only=False)
-        without_cost = mean_nonqos_throughput(
-            self.pair_cases("rollover", goal, gpu=free_gpu), met_only=False)
+        with_cost = self._all_case_throughput("rollover", goal)
+        without_cost = self._all_case_throughput("rollover", goal, free_gpu)
         overhead = improvement(without_cost, with_cost)
         rows = [("with preemption cost", with_cost),
                 ("free preemption", without_cost),
@@ -459,37 +387,28 @@ class ExperimentSuite:
 
     def sec48_history(self) -> ExperimentResult:
         """Section 4.8: effect of history-based quota adjustment."""
-        series = {"naive": {}, "history": {}}
-        self._sweep_pairs(("naive", "history"), self.preset.pair_goals)
-        for policy in series:
-            for goal in self.preset.pair_goals:
-                series[policy][self._goal_label(goal)] = qos_reach(
-                    self.pair_cases(policy, goal))
-            series[policy]["AVG"] = _mean(series[policy].values())
-        labels = [self._goal_label(g) for g in self.preset.pair_goals] + ["AVG"]
-        rows = series_rows(labels, series, ("naive", "history"))
-        gain = improvement(series["history"]["AVG"], series["naive"]["AVG"])
-        return ExperimentResult(
+        def gain(series: Dict) -> Optional[float]:
+            return improvement(series["history"]["AVG"],
+                               series["naive"]["AVG"])
+
+        result = self._series(
             "sec48b", "Section 4.8: history-based adjustment ablation",
-            format_table("Section 4.8: history adjustment", "goal",
-                         ("naive", "history"), rows,
-                         f"enabling covers {((gain or 0)) * 100:.1f}% more cases "
-                         "(paper: +86.4%)"),
-            data={"series": series, "gain": gain},
-        )
+            "Section 4.8: history adjustment", qos_reach,
+            ("naive", "history"), self.preset.pair_goals,
+            lambda series: f"enabling covers {(gain(series) or 0) * 100:.1f}% "
+                           "more cases (paper: +86.4%)")
+        result.data["gain"] = gain(result.data["series"])
+        return result
 
     def sec48_static(self, goal: float = 0.65) -> ExperimentResult:
         """Section 4.8: static resource management on M+M pairs (+13.3%)."""
         mm_pairs = [(qos, nonqos) for qos, nonqos in self.preset.pairs
                     if intensity_class(qos) == "M" and intensity_class(nonqos) == "M"]
-        runner = self.runner()
-        with_static = runner.sweep([CaseSpec.pair(q, n, goal, "rollover")
-                                    for q, n in mm_pairs])
-        without = runner.sweep(
-            [CaseSpec.pair(q, n, goal, "rollover-nostatic")
-             for q, n in mm_pairs])
-        tput_with = mean_nonqos_throughput(with_static, met_only=False)
-        tput_without = mean_nonqos_throughput(without, met_only=False)
+        # One sweep per policy: each keeps its own experiment id.
+        tput_with = self._all_case_throughput("rollover", goal,
+                                              units=mm_pairs)
+        tput_without = self._all_case_throughput("rollover-nostatic", goal,
+                                                 units=mm_pairs)
         gain = improvement(tput_with, tput_without)
         rows = [("static mgmt on", tput_with), ("static mgmt off", tput_without),
                 ("improvement", gain)]
@@ -516,10 +435,9 @@ class ExperimentSuite:
         for scale in (0.5, 1.0, 2.0):
             length = max(100, int(base * scale))
             gpu = self.preset.gpu.scaled(epoch_length=length)
-            cases = self.runner(gpu).sweep(
-                [CaseSpec.pair(q, n, goal, "rollover")
-                 for q, n in self.preset.pairs])
-            series["rollover"][f"{length} cycles"] = qos_reach(cases)
+            cases = self._cases(("rollover",), (goal,), gpu=gpu)
+            series["rollover"][f"{length} cycles"] = qos_reach(
+                cases["rollover", goal])
         labels = list(series["rollover"])
         rows = series_rows(labels, series, ("rollover",))
         return ExperimentResult(
@@ -540,10 +458,9 @@ class ExperimentSuite:
         series = {}
         for policy_name in ("gto", "lrr"):
             gpu = self.preset.gpu.scaled(scheduler_policy=policy_name)
-            cases = self.runner(gpu).sweep(
-                [CaseSpec.pair(q, n, goal, "rollover")
-                 for q, n in self.preset.pairs])
-            series[policy_name] = {"QoSreach": qos_reach(cases)}
+            cases = self._cases(("rollover",), (goal,), gpu=gpu)
+            series[policy_name] = {
+                "QoSreach": qos_reach(cases["rollover", goal])}
         rows = series_rows(["QoSreach"], series, ("gto", "lrr"))
         return ExperimentResult(
             "ext_scheduler", "Extension: warp scheduler ablation",
@@ -560,22 +477,11 @@ class ExperimentSuite:
         Without quotas, the warp scheduler biases arbitrarily between
         co-runners (Section 3.1), so per-kernel goals are hit only by luck.
         """
-        series = {"smk": {}, "rollover": {}}
-        self._sweep_pairs(("smk", "rollover"), self.preset.pair_goals)
-        for policy in series:
-            for goal in self.preset.pair_goals:
-                series[policy][self._goal_label(goal)] = qos_reach(
-                    self.pair_cases(policy, goal))
-            series[policy]["AVG"] = _mean(series[policy].values())
-        labels = [self._goal_label(g) for g in self.preset.pair_goals] + ["AVG"]
-        rows = series_rows(labels, series, ("smk", "rollover"))
-        return ExperimentResult(
+        return self._series(
             "ext_unmanaged", "Extension: unmanaged SMK vs Rollover",
-            format_table("Extension: unmanaged SMK sharing", "goal",
-                         ("smk", "rollover"), rows,
-                         "fine-grained sharing alone cannot honour goals"),
-            data={"series": series},
-        )
+            "Extension: unmanaged SMK sharing", qos_reach,
+            ("smk", "rollover"), self.preset.pair_goals,
+            "fine-grained sharing alone cannot honour goals")
 
     def ext_sharing_regimes(self) -> ExperimentResult:
         """The Section 2.3 design space on one axis: system throughput and
@@ -759,23 +665,25 @@ class ExperimentSuite:
         Whatever sweeps the driver registers in the persistent experiment
         store while running land (deduplicated, in registration order) in
         :attr:`ExperimentResult.provenance`, and the table gains a
-        ``[provenance]`` footer naming the experiment ids, spec hashes and
-        code salt — the line committed ``results/*.txt`` files carry.
+        ``[provenance]`` footer naming the code salt, the output digest of
+        :attr:`ExperimentResult.data`, and the experiment ids and spec
+        hashes — the line committed ``results/*.txt`` files carry.
         """
         if experiment_id not in self.EXPERIMENTS:
             raise ValueError(f"unknown experiment {experiment_id!r}; "
                              f"choose from {self.EXPERIMENTS}")
         marks = {key: len(runner.experiment_log)
-                 for key, runner in self._provenance_sources().items()}
+                 for key, runner in self._runners.items()}
         result = getattr(self, experiment_id)()
         entries: List[Tuple[str, str]] = []
-        for key, runner in self._provenance_sources().items():
+        for key, runner in self._runners.items():
             for entry in runner.experiment_log[marks.get(key, 0):]:
                 if entry not in entries:
                     entries.append(entry)
         result.provenance = tuple(entries)
         result.table = (result.table.rstrip("\n") + "\n\n"
-                        + provenance_footer(code_salt(), result.provenance))
+                        + provenance_footer(code_salt(), result.provenance,
+                                            output_digest(result.data)))
         return result
 
 

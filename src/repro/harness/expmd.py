@@ -8,6 +8,7 @@ from typing import List, Optional, Sequence
 
 from repro.harness.experiments import ExperimentSuite
 from repro.harness.paper import evaluate_experiment, render_comparison
+from repro.harness.presets import experiment_preset
 
 _HEADER = """# EXPERIMENTS — paper vs measured
 
@@ -25,9 +26,10 @@ python -m repro.harness.expmd --preset paper
 Absolute numbers are not expected to match: the substrate here is a
 from-scratch pure-Python cycle-level simulator with synthetic Parboil
 models, not the authors' GPGPU-Sim + compiled binaries (see DESIGN.md for
-the substitution table).  What must match — and is asserted by
-`pytest benchmarks/` — is the ordering and scaling structure of the
-results.
+the substitution table).  What must match is the ordering and scaling
+structure of the results: the shape claims of `repro.harness.paper`,
+scored below.  At the smoke preset, CI pins every figure's output digest
+and the claims known to fail there (`benchmarks/smoke_digests.py`).
 
 ## Known deviations at the fast preset
 
@@ -42,6 +44,13 @@ results.
   still holds.
 * **Hardest-goal tails are quantised**: with 12 pairs / 6 trios a single
   flipped case moves QoSreach by 0.08-0.17.
+* **Static management's throughput gain is not reproduced** (Section 4.8c:
+  the paper reports +13.3% non-QoS throughput on M+M pairs).  The fast
+  preset's three M+M pairs at goal 65% read a small loss, so the sec48c
+  claim only bounds the loss (under 25%).  Over all 20 M+M pairs
+  (ROADMAP.md's table) static management always raises QoSreach, but the
+  sign of the throughput gain depends on the metric, the pairs and the
+  goal, and the hardest goal loses most.
 
 """
 
@@ -50,9 +59,7 @@ def generate(preset_name: str = "fast",
              experiments: Optional[Sequence[str]] = None,
              path: Optional[pathlib.Path] = None) -> str:
     """Run the suite and render EXPERIMENTS.md; returns the markdown."""
-    suite = ExperimentSuite.__new__(ExperimentSuite)  # placate linters
-    from repro.harness.presets import experiment_preset
-    suite.__init__(experiment_preset(preset_name))
+    suite = ExperimentSuite(experiment_preset(preset_name))
     chosen = list(experiments or ExperimentSuite.EXPERIMENTS)
 
     blocks: List[str] = [_HEADER]

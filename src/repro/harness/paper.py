@@ -4,7 +4,8 @@ Each figure has a :class:`ShapeCheck` list: the qualitative claims (who
 wins, by roughly what factor, where schemes collapse) that a reproduction
 must exhibit even when absolute numbers differ — our substrate is a
 from-scratch simulator with synthetic workloads, not the authors' GPGPU-Sim
-testbed.  :func:`evaluate_experiment` turns a measured
+testbed.  This module is the one home of those claims.
+:func:`evaluate_experiment` turns a measured
 :class:`~repro.harness.experiments.ExperimentResult` into pass/fail
 verdicts, and :func:`render_comparison` produces the EXPERIMENTS.md rows.
 """
@@ -56,6 +57,14 @@ def _avg(series: Dict, key: str) -> Optional[float]:
     return series.get(key, {}).get("AVG")
 
 
+def _versus(series: Dict, high: str, low: str, description: str,
+            holds: Callable[[float, float], bool]) -> ShapeCheck:
+    """A claim on two series' averages: ``holds(high AVG, low AVG)``."""
+    first, second = _avg(series, high), _avg(series, low)
+    return ShapeCheck(description, holds(first, second),
+                      f"{high} {first:.3f} vs {low} {second:.3f}")
+
+
 def evaluate_experiment(result) -> List[ShapeCheck]:
     """Shape checks for one measured experiment (empty if none defined)."""
     evaluator = _EVALUATORS.get(result.experiment_id)
@@ -97,22 +106,21 @@ def _eval_fig06a(data) -> List[ShapeCheck]:
                    naive < min(spart, rollover, elastic) - 0.1,
                    f"naive {naive:.3f} vs others >= "
                    f"{min(spart, rollover, elastic):.3f}"),
-        ShapeCheck("Rollover is competitive with or better than Spart",
-                   rollover >= spart - 0.06,
-                   f"rollover {rollover:.3f} vs spart {spart:.3f}"),
+        ShapeCheck("Naive misses most cases (paper: 20.6% reach)",
+                   naive < 0.6, f"naive {naive:.3f}"),
+        _versus(series, "rollover", "spart",
+                "Rollover is competitive with or better than Spart",
+                lambda rollover, spart: rollover >= spart - 0.05),
         ShapeCheck("Elastic and Rollover fix Naive's limitation",
                    elastic > naive and rollover > naive,
                    f"elastic {elastic:.3f}, rollover {rollover:.3f}"),
     ]
 
 
-def _eval_trio(data) -> List[ShapeCheck]:
-    series = data["series"]
-    spart = _avg(series, "spart")
-    rollover = _avg(series, "rollover")
-    return [ShapeCheck("Rollover >= Spart on trio QoSreach (scalability)",
-                       rollover >= spart - 0.05,
-                       f"rollover {rollover:.3f} vs spart {spart:.3f}")]
+def _eval_trio(data, slack: float = 0.05) -> List[ShapeCheck]:
+    return [_versus(data["series"], "rollover", "spart",
+                    "Rollover >= Spart on QoSreach (scalability)",
+                    lambda rollover, spart: rollover >= spart - slack)]
 
 
 def _eval_fig07(data) -> List[ShapeCheck]:
@@ -137,14 +145,23 @@ def _eval_fig07(data) -> List[ShapeCheck]:
 
 def _eval_throughput(data) -> List[ShapeCheck]:
     series = data["series"]
-    spart = _avg(series, "spart")
-    rollover = _avg(series, "rollover")
-    if spart is None or rollover is None:
+    if None in (_avg(series, "spart"), _avg(series, "rollover")):
         return [ShapeCheck("comparable non-QoS throughput measurable",
                            True, "one scheme met no goals at this scale")]
-    return [ShapeCheck("Rollover extracts at least Spart-level non-QoS "
-                       "throughput", rollover >= spart * 0.8,
-                       f"rollover {rollover:.3f} vs spart {spart:.3f}")]
+    return [_versus(series, "rollover", "spart",
+                    "Rollover extracts at least Spart-level non-QoS "
+                    "throughput",
+                    lambda rollover, spart: rollover >= spart * 0.8)]
+
+
+def _eval_fig08a(data) -> List[ShapeCheck]:
+    goals = [value for label, value in data["series"]["rollover"].items()
+             if label != "AVG" and value is not None]
+    steps = [late - early for early, late in zip(goals, goals[1:])]
+    return _eval_throughput(data) + [ShapeCheck(
+        "Rollover's non-QoS throughput falls as the goal rises",
+        all(step <= 0.15 for step in steps),
+        " -> ".join(f"{value:.3f}" for value in goals))]
 
 
 def _eval_fig09(data) -> List[ShapeCheck]:
@@ -152,6 +169,9 @@ def _eval_fig09(data) -> List[ShapeCheck]:
     spart = _avg(series, "spart")
     rollover = _avg(series, "rollover")
     return [
+        ShapeCheck("Rollover's goal-meeting cases run at or above goal",
+                   rollover is not None and rollover >= 1.0 - 1e-6,
+                   f"rollover {rollover:.3f}"),
         ShapeCheck("Rollover overshoots goals far less than Spart",
                    rollover is not None and spart is not None
                    and rollover < spart,
@@ -163,25 +183,20 @@ def _eval_fig09(data) -> List[ShapeCheck]:
 
 
 def _eval_fig10(data) -> List[ShapeCheck]:
-    series = data["series"]
-    rollover = _avg(series, "rollover")
-    timed = _avg(series, "rollover-time")
-    return [ShapeCheck("prioritised time multiplexing matches Rollover's "
-                       "QoSreach", abs(rollover - timed) < 0.25,
-                       f"rollover {rollover:.3f} vs rollover-time "
-                       f"{timed:.3f}")]
+    return [_versus(data["series"], "rollover", "rollover-time",
+                    "prioritised time multiplexing matches Rollover's "
+                    "QoSreach", lambda rollover, timed:
+                    abs(rollover - timed) < 0.25)]
 
 
 def _eval_fig11(data) -> List[ShapeCheck]:
     series = data["series"]
-    rollover = _avg(series, "rollover")
-    timed = _avg(series, "rollover-time")
-    if rollover is None or timed is None:
+    if None in (_avg(series, "rollover"), _avg(series, "rollover-time")):
         return []
-    return [ShapeCheck("overlapped execution beats time multiplexing on "
-                       "non-QoS throughput", rollover >= timed,
-                       f"rollover {rollover:.3f} vs rollover-time "
-                       f"{timed:.3f}")]
+    return [_versus(series, "rollover", "rollover-time",
+                    "overlapped execution beats time multiplexing on "
+                    "non-QoS throughput", lambda rollover, timed:
+                    rollover >= timed)]
 
 
 def _eval_fig14(data) -> List[ShapeCheck]:
@@ -210,28 +225,63 @@ def _eval_sec48a(data) -> List[ShapeCheck]:
 
 
 def _eval_sec48b(data) -> List[ShapeCheck]:
-    series = data["series"]
-    return [ShapeCheck("history adjustment reaches more goals than naive",
-                       _avg(series, "history") >= _avg(series, "naive"),
-                       f"history {_avg(series, 'history'):.3f} vs naive "
-                       f"{_avg(series, 'naive'):.3f}")]
+    return [_versus(data["series"], "history", "naive",
+                    "history adjustment reaches more goals than naive",
+                    lambda history, naive: history >= naive)]
 
 
 def _eval_sec48c(data) -> List[ShapeCheck]:
     gain = data.get("gain")
     if gain is None:
         return []
-    return [ShapeCheck("static management does not hurt M+M throughput",
-                       gain > -0.25, f"gain {gain:+.3f} (paper +0.133)")]
+    return [ShapeCheck("static management loses under 25% of M+M non-QoS "
+                       "throughput", gain > -0.25,
+                       f"gain {gain:+.3f} (paper +0.133)")]
+
+
+def _eval_ext_epoch_length(data) -> List[ShapeCheck]:
+    values = list(data["series"]["rollover"].values())
+    return [ShapeCheck("QoSreach stays flat across a 4x range of epoch "
+                       "lengths", max(values) - min(values) <= 0.5,
+                       f"range {max(values) - min(values):.3f}")]
+
+
+def _eval_ext_scheduler(data) -> List[ShapeCheck]:
+    gto = data["series"]["gto"]["QoSreach"]
+    lrr = data["series"]["lrr"]["QoSreach"]
+    return [
+        ShapeCheck("the quota filter works over LRR about as well as GTO",
+                   lrr >= gto - 0.5, f"lrr {lrr:.3f} vs gto {gto:.3f}"),
+        ShapeCheck("Rollover reaches a healthy share of goals over LRR",
+                   lrr > 0.3, f"lrr {lrr:.3f}"),
+    ]
+
+
+def _eval_ext_unmanaged(data) -> List[ShapeCheck]:
+    return [_versus(data["series"], "rollover", "smk",
+                    "quota management reaches more goals than unmanaged SMK",
+                    lambda rollover, smk: rollover > smk)]
+
+
+def _eval_ext_fusion(data) -> List[ShapeCheck]:
+    fused, smk = data["fused_stp"], data["smk_stp"]
+    return [
+        ShapeCheck("fusion's throughput is in SMK's ballpark (its gap is "
+                   "control)", fused > 0.4 * smk,
+                   f"fused STP {fused:.3f} vs SMK {smk:.3f}"),
+        ShapeCheck("SMK + Rollover delivers most per-kernel goals",
+                   data["qos_reach"] > 0.5,
+                   f"reach {data['qos_reach']:.3f}"),
+    ]
 
 
 _EVALUATORS: Dict[str, Callable] = {
     "fig05": _eval_fig05,
     "fig06a": _eval_fig06a,
     "fig06b": _eval_trio,
-    "fig06c": _eval_trio,
+    "fig06c": lambda data: _eval_trio(data, slack=0.0),
     "fig07": _eval_fig07,
-    "fig08a": _eval_throughput,
+    "fig08a": _eval_fig08a,
     "fig08b": _eval_throughput,
     "fig08c": _eval_throughput,
     "fig09": _eval_fig09,
@@ -243,6 +293,10 @@ _EVALUATORS: Dict[str, Callable] = {
     "sec48a": _eval_sec48a,
     "sec48b": _eval_sec48b,
     "sec48c": _eval_sec48c,
+    "ext_epoch_length": _eval_ext_epoch_length,
+    "ext_scheduler": _eval_ext_scheduler,
+    "ext_unmanaged": _eval_ext_unmanaged,
+    "ext_fusion": _eval_ext_fusion,
 }
 
 

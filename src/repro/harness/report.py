@@ -3,6 +3,8 @@ figures (one row per x-axis category, one column per scheme/series)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -44,17 +46,32 @@ def series_rows(x_labels: Sequence, series: Dict[str, Dict],
     return rows
 
 
+def output_digest(data) -> str:
+    """SHA-256 of ``data``'s canonical JSON form (16 hex digits).
+
+    The code salt says what code ran; this says what came out.  Floats
+    serialise by their shortest round-trip repr, so bit-identical results
+    give identical digests.
+    """
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
 def provenance_footer(code_salt: str,
-                      experiments: Sequence[Tuple[str, str]]) -> str:
+                      experiments: Sequence[Tuple[str, str]],
+                      output: Optional[str] = None) -> str:
     """One machine-greppable line tying a committed table back to the
-    experiment-store rows (and code salt) that produced it.
+    experiment-store rows (and code salt) that produced it, and to the
+    :func:`output_digest` of what it shows.
 
     Everything in the line is content-derived — experiment ids and spec
-    hashes are hashes of the grid, the salt a hash of the source tree — so
-    regenerating an unchanged figure on any machine reproduces the footer
-    byte for byte.
+    hashes are hashes of the grid, the salt a hash of the source tree, the
+    output digest a hash of the result — so regenerating an unchanged
+    figure on any machine reproduces the footer byte for byte.
     """
     parts = [f"code salt {code_salt}"]
+    if output is not None:
+        parts.append(f"output {output}")
     if experiments:
         parts.append("experiments: " + ", ".join(
             f"{experiment_id} (spec {spec_hash[:16]})"

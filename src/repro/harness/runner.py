@@ -115,9 +115,9 @@ class SweepInterrupted(RuntimeError):
 class RegisteredSweep:
     """One sweep registered in an experiment store (persistent or ephemeral).
 
-    ``persistent`` distinguishes the shared on-disk store — whose ids are
+    ``persistent`` distinguishes the runner's on-disk store — whose ids are
     worth reporting as provenance and resuming later — from the throwaway
-    in-memory store every unregistered sweep still routes through (so the
+    in-memory store a runner without one routes its sweeps through (so the
     pull-based claim loop is never a special case).  ``done`` marks an
     experiment the persistent store already holds as done: the sweep claims,
     registers and finishes nothing.
@@ -326,7 +326,7 @@ class SweepRunner:
 
     # -------------------------------------------------------------- sweeps
 
-    def _sweep(self, specs: Sequence, register: bool) -> list:
+    def _sweep(self, specs: Sequence) -> list:
         """Register ``specs`` as an experiment, pull its pending cases, and
         return every result in input order (see :meth:`CaseRunner.sweep`).
 
@@ -338,7 +338,7 @@ class SweepRunner:
         specs = list(specs)
         if not specs:
             return []
-        sweep_reg = self._register_sweep(specs, register)
+        sweep_reg = self._register_sweep(specs)
         if sweep_reg.done:
             self._prepare(sweep_reg, [])
         else:
@@ -350,8 +350,7 @@ class SweepRunner:
                     sweep_reg.db.close()
         return [self._run(spec) for spec in specs]
 
-    def _register_sweep(self, specs: Sequence,
-                        register: bool) -> RegisteredSweep:
+    def _register_sweep(self, specs: Sequence) -> RegisteredSweep:
         """Register the grid in the experiment store (idempotent: the same
         grid under the same code always maps to the same experiment id).
         An experiment the persistent store holds as done is only read."""
@@ -363,7 +362,7 @@ class SweepRunner:
         grid = self._grid(payloads)
         spec_hash = experiment_spec_hash(grid)
         experiment_id = experiment_id_for(spec_hash)
-        persistent = register and self.expdb is not None
+        persistent = self.expdb is not None
         db = self.expdb if persistent else ExperimentDB(":memory:")
         done = persistent and db.status(experiment_id) == DONE
         if not done:
@@ -607,27 +606,24 @@ class CaseRunner(SweepRunner):
 
     # ---------------------------------------------------------------- sweeps
 
-    def sweep(self, cases: Sequence[CaseSpec],
-              register: bool = True) -> List[CaseRecord]:
+    def sweep(self, cases: Sequence[CaseSpec]) -> List[CaseRecord]:
         """Run a batch of cases, returning records in input order.
 
         Every sweep is an *experiment*: the full grid is registered in the
-        experiment store (the runner's persistent :attr:`expdb` when set
-        and ``register`` is True, a throwaway in-memory store otherwise)
-        and cases are **pulled** from its table one claim at a time rather
-        than consumed as a static list.  Already-done cases — from the
-        memo, the persistent case cache, or a previous interrupted run of
-        the same grid — are never re-simulated, which is what makes
-        ``repro exp resume`` converge on records byte-identical to an
-        uninterrupted run.
+        experiment store (the runner's persistent :attr:`expdb` when set, a
+        throwaway in-memory store otherwise) and cases are **pulled** from
+        its table one claim at a time rather than consumed as a static
+        list.  Already-done cases — from the memo, the persistent case
+        cache, or a previous interrupted run of the same grid — are never
+        re-simulated, which is what makes ``repro exp resume`` converge on
+        records byte-identical to an uninterrupted run.
 
         With :attr:`workers` above one, claims fan out over a process pool
         whose workers are throwaway serial runners, so serial and parallel
-        sweeps return identical records for identical inputs.
-        ``register=False`` keeps a sweep out of the persistent store — for
-        memo-slicing re-sweeps of grids already registered.
+        sweeps return identical records for identical inputs.  A figure
+        submits its whole grid as one sweep and slices the records.
         """
-        return self._sweep(cases, register)
+        return self._sweep(cases)
 
     # ----------------------------------------------------- job protocol
 

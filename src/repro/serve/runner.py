@@ -229,18 +229,17 @@ class ServeRunner(SweepRunner):
 
     # ---------------------------------------------------------------- sweeps
 
-    def sweep(self, specs: Sequence[ServeSpec],
-              register: bool = True) -> List[ServeCaseOutcome]:
+    def sweep(self, specs: Sequence[ServeSpec]) -> List[ServeCaseOutcome]:
         """Run a batch of serving cases, returning outcomes in input order.
 
         The same claim loop as :meth:`repro.harness.runner.CaseRunner.sweep`:
         the grid is registered in the experiment store (persistent when the
-        runner has one and ``register`` is True, throwaway in-memory
-        otherwise) and cases are pulled one claim at a time, so an
-        interrupted load sweep resumes where it stopped and converges on
-        outcomes byte-identical to an uninterrupted run.
+        runner has one, throwaway in-memory otherwise) and cases are pulled
+        one claim at a time, so an interrupted load sweep resumes where it
+        stopped and converges on outcomes byte-identical to an
+        uninterrupted run.
         """
-        return self._sweep(specs, register)
+        return self._sweep(specs)
 
     # ----------------------------------------------------- job protocol
 

@@ -261,16 +261,6 @@ class TestZeroNewSimulations:
                                expdb=ExperimentDB(db_path), **kwargs)
             assert dump(rerun.sweep(SPECS)) == dump(baseline)
 
-    def test_unregistered_sweeps_stay_out_of_the_store(self, tmp_path):
-        db = ExperimentDB(tmp_path / "exp.sqlite")
-        runner = CaseRunner(FAST_GPU, CYCLES, expdb=db)
-        runner.sweep(SPECS[:1], register=False)
-        assert db.experiments() == []
-        assert runner.experiment_log == []
-        runner.sweep(SPECS[:1])
-        assert len(db.experiments()) == 1
-        assert len(runner.experiment_log) == 1
-
     def test_experiment_log_records_content_ids(self, tmp_path):
         db = ExperimentDB(tmp_path / "exp.sqlite")
         runner = CaseRunner(FAST_GPU, CYCLES, expdb=db)

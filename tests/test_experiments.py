@@ -1,13 +1,17 @@
 """Smoke tests for the experiment suite on the tiny 'smoke' preset.
 
 These verify structure and the paper's qualitative orderings, not absolute
-numbers; benchmarks/ regenerates the figures at the fast preset.
+numbers; ``repro all --preset fast -o benchmarks/results`` regenerates the
+figures at the fast preset, and :mod:`repro.harness.paper` holds the shape
+claims they are scored against.
 """
 
 import pytest
 
+from repro.harness.expdb import ExperimentDB
 from repro.harness.experiments import ExperimentResult, ExperimentSuite
 from repro.harness.presets import experiment_preset
+from repro.harness.report import output_digest
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +26,16 @@ class TestTables:
         assert rows["# of SMs"] == suite.preset.gpu.num_sms
         assert rows["Sched. Policy"] == "GTO"
         assert "Registers" in result.table
+
+    def test_paper_preset_table1_is_the_papers_machine(self):
+        # Table 1 reads the machine description; it simulates nothing.
+        suite = ExperimentSuite(experiment_preset("paper"), cache=None,
+                                expdb=None)
+        rows = suite.table1().data["rows"]
+        assert rows["# of SMs"] == 16
+        assert rows["Registers"] == "256KB"
+        assert rows["Threads"] == 2048
+        assert rows["Sched. Policy"] == "GTO"
 
     def test_table2_feature_matrix(self, suite):
         result = suite.table2()
@@ -157,6 +171,34 @@ class TestProvenance:
         assert footer.startswith("[provenance] code salt ")
         for experiment_id, _ in result.provenance:
             assert experiment_id in footer
+
+    def test_footer_carries_the_output_digest(self, suite):
+        result = suite.run("fig06a")
+        assert f"; output {output_digest(result.data)};" in result.table
+
+    def test_sec48a_cites_both_of_its_grids(self, suite):
+        # With and without the preemption cost: two machines, two grids.
+        result = suite.run("sec48_preemption")
+        assert len(result.provenance) == 2
+        assert len({spec for _, spec in result.provenance}) == 2
+
+    def test_every_experiment_sweeps_only_through_the_persistent_store(
+            self, suite, tmp_path, monkeypatch):
+        # Each figure registers its grid once and slices the records: no
+        # sweep falls back to a throwaway in-memory store.
+        opened = []
+
+        class CountingDB(ExperimentDB):
+            def __init__(self, path=None):
+                opened.append(str(path))
+                super().__init__(path)
+
+        monkeypatch.setattr("repro.harness.expdb.ExperimentDB", CountingDB)
+        fresh = ExperimentSuite(suite.preset, cache=suite.cache,
+                                expdb=ExperimentDB(tmp_path / "exp.sqlite"))
+        for experiment_id in ExperimentSuite.EXPERIMENTS:
+            fresh.run(experiment_id)
+        assert opened == []
 
     def test_tables_carry_salt_but_no_experiments(self, suite):
         # table1 reads the machine config; it sweeps nothing.

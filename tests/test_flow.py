@@ -181,6 +181,50 @@ class TestTaintedIdentity:
         assert rules_of(findings) == ["FLOW001"]
         assert "passed to isolated_key()" in findings[0].message
 
+    def _keyed_by_the_clock(self, statement):
+        return flow(f"""
+            import hashlib
+            import time
+
+            def remember(cache, value):
+                {statement}
+            """)
+
+    def test_a_sink_in_a_load_subscript_is_checked(self):
+        findings = self._keyed_by_the_clock(
+            "return cache[hashlib.sha256(str(time.time()).encode())"
+            ".hexdigest()]")
+        assert rules_of(findings) == ["FLOW001"]
+
+    def test_a_sink_in_a_store_subscript_is_checked(self):
+        # The twin of the load: a store runs its subscript expression too.
+        findings = self._keyed_by_the_clock(
+            "cache[hashlib.sha256(str(time.time()).encode())"
+            ".hexdigest()] = value")
+        assert rules_of(findings) == ["FLOW001"]
+        assert "time.time" in findings[0].message
+
+    def _stamp_then_digest(self, store):
+        return flow(f"""
+            import hashlib
+            import json
+            import time
+
+            def key(payload):
+                {store}
+                return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+            """)
+
+    def test_a_subscript_store_of_the_clock_reaches_the_digest(self):
+        findings = self._stamp_then_digest('payload["stamp"] = time.time()')
+        assert rules_of(findings) == ["FLOW001"]
+
+    def test_an_augmented_subscript_store_reaches_the_digest(self):
+        # The twin of the plain store: ``+=`` joins into the payload too.
+        findings = self._stamp_then_digest('payload["stamp"] += time.time()')
+        assert rules_of(findings) == ["FLOW001"]
+        assert "time.time" in findings[0].message
+
     def test_a_diamond_keeps_one_sink_per_key_and_one_finding(self):
         # top reaches the sink through left and through right; one
         # witness per (param, rule, sink, line) is enough, so the

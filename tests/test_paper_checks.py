@@ -83,6 +83,83 @@ class TestThroughputChecks:
         assert checks and checks[0].holds
 
 
+def averages(**values):
+    return {"series": {name: {"AVG": value} for name, value in values.items()}}
+
+
+def fig08a(*rollover):
+    goals = dict(zip(("50%", "65%", "80%", "95%"), rollover))
+    return {"series": {"spart": {"50%": 0.4, "95%": 0.0, "AVG": 0.2},
+                       "rollover": dict(goals, AVG=0.3)}}
+
+
+#: Claims folded in from the retired per-figure benchmarks: experiment,
+#: paper-like data (every claim holds), and edge data with the verdict of
+#: each claim on it.
+FOLDED = {
+    "fig06a-naive-misses-most": (
+        "fig06a", averages(naive=0.206, spart=0.788, rollover=0.884,
+                           elastic=0.86),
+        averages(naive=0.65, spart=0.9, rollover=0.95, elastic=0.9),
+        [True, False, True, True]),
+    "fig06a-rollover-within-0.05": (
+        "fig06a", averages(naive=0.206, spart=0.788, rollover=0.884,
+                           elastic=0.86),
+        averages(naive=0.2, spart=0.8, rollover=0.74, elastic=0.8),
+        [True, True, False, True]),
+    "fig06b-keeps-its-slack": (
+        "fig06b", averages(spart=0.788, rollover=0.884),
+        averages(spart=0.5, rollover=0.47), [True]),
+    "fig06c-has-no-slack": (
+        "fig06c", averages(spart=0.167, rollover=0.5),
+        averages(spart=0.5, rollover=0.47), [False]),
+    "fig08a-falls-with-goal": (
+        "fig08a", fig08a(0.47, 0.31, 0.2, 0.048),
+        fig08a(0.048, 0.2, 0.31, 0.47), [True, False]),
+    "fig09-meets-goal": (
+        "fig09", averages(spart=1.116, rollover=1.028),
+        averages(spart=1.116, rollover=0.98), [False, True, True]),
+    "sec48c-loss-bound": (
+        "sec48c", {"gain": -0.049}, {"gain": -0.3}, [False]),
+    "ext_epoch_length": (
+        "ext_epoch_length",
+        {"series": {"rollover": {"600": 0.917, "1200": 1.0, "2400": 0.917}}},
+        {"series": {"rollover": {"600": 0.1, "1200": 0.9, "2400": 0.4}}},
+        [False]),
+    "ext_scheduler": (
+        "ext_scheduler",
+        {"series": {"gto": {"QoSreach": 0.917}, "lrr": {"QoSreach": 1.0}}},
+        {"series": {"gto": {"QoSreach": 0.917}, "lrr": {"QoSreach": 0.25}}},
+        [False, False]),
+    "ext_unmanaged": (
+        "ext_unmanaged", averages(smk=0.25, rollover=0.875),
+        averages(smk=0.875, rollover=0.25), [False]),
+    "ext_fusion": (
+        "ext_fusion",
+        {"fused_stp": 1.067, "smk_stp": 0.981, "qos_reach": 11 / 12},
+        {"fused_stp": 0.3, "smk_stp": 0.981, "qos_reach": 0.25},
+        [False, False]),
+}
+
+
+class TestFoldedClaims:
+    @pytest.mark.parametrize("case", sorted(FOLDED))
+    def test_paper_like_data_passes(self, case):
+        experiment_id, paper_like, _, _ = FOLDED[case]
+        checks = evaluate_experiment(result_with(experiment_id, paper_like))
+        assert checks and all(check.holds for check in checks)
+
+    @pytest.mark.parametrize("case", sorted(FOLDED))
+    def test_edge_data_gets_the_expected_verdicts(self, case):
+        experiment_id, _, edge, verdicts = FOLDED[case]
+        checks = evaluate_experiment(result_with(experiment_id, edge))
+        assert [check.holds for check in checks] == verdicts
+
+    def test_sec48c_label_states_its_threshold(self):
+        (check,) = evaluate_experiment(result_with("sec48c", {"gain": 0.1}))
+        assert "under 25%" in check.description
+
+
 class TestRender:
     def test_render_includes_table_and_verdicts(self):
         result = result_with("fig09", {})
