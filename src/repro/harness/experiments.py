@@ -11,6 +11,7 @@ paper's figures all slice one set of runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
@@ -24,6 +25,7 @@ from repro.harness.metrics import (
     mean_qos_overshoot,
     miss_histogram,
     qos_reach,
+    system_throughput,
     MISS_BUCKETS,
 )
 from repro.harness.cache import code_salt, open_default_cache
@@ -525,7 +527,7 @@ class ExperimentSuite:
                 result = sim.result()
                 shares = [result.kernels[i].ipc / iso[name]
                           for i, name in enumerate((first, second))]
-                series[regime]["STP"].append(sum(shares))
+                series[regime]["STP"].append(math.fsum(shares))
                 top = max(shares)
                 series[regime]["fairness"].append(
                     min(shares) / top if top > 0 else 1.0)
@@ -575,8 +577,7 @@ class ExperimentSuite:
             fused_stp.append(0.5 * fused_ipc / iso[first]
                              + 0.5 * fused_ipc / iso[second])
             case = runner.run_pair(first, second, goal, "rollover")
-            smk_stp.append(sum(k.normalized_throughput
-                               for k in case.kernels))
+            smk_stp.append(system_throughput(case))
             qos_reached.append(case.qos_met)
         rows = [
             ("fused kernel", _mean(fused_stp), "no"),
@@ -689,4 +690,4 @@ class ExperimentSuite:
 
 def _mean(values: Iterable[float]) -> float:
     values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    return math.fsum(values) / len(values) if values else 0.0

@@ -28,8 +28,9 @@ from-scratch pure-Python cycle-level simulator with synthetic Parboil
 models, not the authors' GPGPU-Sim + compiled binaries (see DESIGN.md for
 the substitution table).  What must match is the ordering and scaling
 structure of the results: the shape claims of `repro.harness.paper`,
-scored below.  At the smoke preset, CI pins every figure's output digest
-and the claims known to fail there (`benchmarks/smoke_digests.py`).
+scored below (the generator exits 1 when one fails).  At the smoke
+preset, a tier-1 test pins every figure's output digest and the claims
+known to fail there (`tests/data/smoke_digests.json`).
 
 ## Known deviations at the fast preset
 
@@ -132,9 +133,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         choices=("smoke", "fast", "paper"))
     parser.add_argument("-o", "--output", default="EXPERIMENTS.md")
     args = parser.parse_args(argv)
-    generate(args.preset, path=pathlib.Path(args.output))
-    print(f"wrote {args.output}")
-    return 0
+    text = generate(args.preset, path=pathlib.Path(args.output))
+    failing = text.count("| **no** |")  # render_comparison's failing rows
+    print(f"wrote {args.output}; {failing} shape claims fail")
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

@@ -8,10 +8,14 @@ Throughput metrics follow the paper's conventions: non-QoS throughput is
 normalised to isolated execution and **averaged only over cases that met
 the QoS goals**; QoS kernel throughput is normalised to the goal itself
 (Figure 9's overshoot measure).
+
+Float sums use :func:`math.fsum`, which rounds correctly on every Python
+(3.12's ``sum()`` compensates float sums, earlier ones do not).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence
 
 from repro.harness.runner import CaseRecord
@@ -44,7 +48,7 @@ def mean_nonqos_throughput(cases: Iterable[CaseRecord],
         values.extend(k.normalized_throughput for k in case.nonqos_kernels)
     if not values:
         return None
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def mean_qos_overshoot(cases: Iterable[CaseRecord],
@@ -57,7 +61,7 @@ def mean_qos_overshoot(cases: Iterable[CaseRecord],
         values.extend(k.goal_ratio for k in case.qos_kernels)
     if not values:
         return None
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def miss_histogram(cases: Iterable[CaseRecord]) -> dict:
@@ -84,7 +88,7 @@ def system_throughput(case: CaseRecord) -> float:
     The standard multiprogramming throughput metric; an STP of K means the
     shared machine does the work of K isolated machines.
     """
-    return sum(k.normalized_throughput for k in case.kernels)
+    return math.fsum(k.normalized_throughput for k in case.kernels)
 
 
 def average_normalized_turnaround(case: CaseRecord) -> float:
@@ -96,7 +100,7 @@ def average_normalized_turnaround(case: CaseRecord) -> float:
     for kernel in case.kernels:
         throughput = kernel.normalized_throughput
         slowdowns.append(1.0 / throughput if throughput > 0 else float("inf"))
-    return sum(slowdowns) / len(slowdowns)
+    return math.fsum(slowdowns) / len(slowdowns)
 
 
 def fairness_index(case: CaseRecord) -> float:
@@ -111,7 +115,7 @@ def mean_instructions_per_watt(cases: Sequence[CaseRecord]) -> Optional[float]:
     cases = list(cases)
     if not cases:
         return None
-    return sum(case.instructions_per_watt for case in cases) / len(cases)
+    return math.fsum(case.instructions_per_watt for case in cases) / len(cases)
 
 
 def improvement(new: Optional[float], old: Optional[float]) -> Optional[float]:

@@ -3,15 +3,27 @@
 These verify structure and the paper's qualitative orderings, not absolute
 numbers; ``repro all --preset fast -o benchmarks/results`` regenerates the
 figures at the fast preset, and :mod:`repro.harness.paper` holds the shape
-claims they are scored against.
+claims they are scored against.  ``tests/data/smoke_digests.json`` pins
+every smoke figure's output digest and the claims that fail at smoke; on a
+mismatch the test prints the measured document, which is the new pin when
+figures move on purpose.
 """
+
+import json
+import pathlib
 
 import pytest
 
+from repro.harness.cache import CaseCache
 from repro.harness.expdb import ExperimentDB
 from repro.harness.experiments import ExperimentResult, ExperimentSuite
+from repro.harness.paper import evaluate_experiment
 from repro.harness.presets import experiment_preset
 from repro.harness.report import output_digest
+
+#: Every smoke experiment's output digest and the shape claims known to
+#: fail at smoke scale.
+SMOKE_PIN = pathlib.Path(__file__).parent / "data" / "smoke_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -182,10 +194,13 @@ class TestProvenance:
         assert len(result.provenance) == 2
         assert len({spec for _, spec in result.provenance}) == 2
 
-    def test_every_experiment_sweeps_only_through_the_persistent_store(
+    def test_smoke_figures_sweep_once_and_match_their_pin(
             self, suite, tmp_path, monkeypatch):
         # Each figure registers its grid once and slices the records: no
-        # sweep falls back to a throwaway in-memory store.
+        # sweep falls back to a throwaway in-memory store.  Regenerated in
+        # fresh stores, every output digest and the set of failing shape
+        # claims equal the pin; the code salt is not pinned, so a change
+        # that keeps behaviour passes.
         opened = []
 
         class CountingDB(ExperimentDB):
@@ -194,11 +209,23 @@ class TestProvenance:
                 super().__init__(path)
 
         monkeypatch.setattr("repro.harness.expdb.ExperimentDB", CountingDB)
-        fresh = ExperimentSuite(suite.preset, cache=suite.cache,
+        fresh = ExperimentSuite(suite.preset,
+                                cache=CaseCache(tmp_path / "cache"),
                                 expdb=ExperimentDB(tmp_path / "exp.sqlite"))
+        digests, failing = {}, []
         for experiment_id in ExperimentSuite.EXPERIMENTS:
-            fresh.run(experiment_id)
+            result = fresh.run(experiment_id)
+            digests[result.experiment_id] = output_digest(result.data)
+            failing.extend(f"{result.experiment_id}: {check.description}"
+                           for check in evaluate_experiment(result)
+                           if not check.holds)
         assert opened == []
+        measured = {"preset": "smoke", "digests": digests,
+                    "failing_claims": sorted(failing)}
+        assert measured == json.loads(SMOKE_PIN.read_text()), (
+            f"smoke figures moved; if on purpose, this is the new "
+            f"{SMOKE_PIN.name}:\n"
+            + json.dumps(measured, indent=2, sort_keys=True))
 
     def test_tables_carry_salt_but_no_experiments(self, suite):
         # table1 reads the machine config; it sweeps nothing.

@@ -2,6 +2,8 @@
 
 import pathlib
 
+from repro.harness import expmd
+from repro.harness.experiments import ExperimentSuite
 from repro.harness.expmd import generate
 
 
@@ -25,3 +27,13 @@ class TestGenerate:
         text = generate("smoke", experiments=("table1",))
         assert "Known deviations" in text
         assert "DESIGN.md" in text
+
+    def test_main_exits_1_when_a_claim_fails(self, tmp_path, monkeypatch):
+        # At smoke, fig06a's "Naive is by far the weakest" fails (pinned in
+        # tests/data/smoke_digests.json); the tables carry no claims.
+        output = tmp_path / "EXP.md"
+        argv = ["--preset", "smoke", "-o", str(output)]
+        for experiments, status in ((("table1",), 0), (("fig06a",), 1)):
+            monkeypatch.setattr(ExperimentSuite, "EXPERIMENTS", experiments)
+            assert expmd.main(argv) == status
+            assert "Shape-claim scorecard" in output.read_text()
