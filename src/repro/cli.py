@@ -15,8 +15,7 @@ Examples::
     repro-gpu-qos trace mri-q lbm -o case.jsonl   # per-epoch telemetry
     repro-gpu-qos serve --load 2000 -o run.jsonl  # online serving case
     repro-gpu-qos lint --strict               # static invariant checks
-    repro-gpu-qos controllers compare         # SLO controller evaluation
-    repro-gpu-qos controllers bench --quick   # CI smoke for controllers
+    repro-gpu-qos ext_controllers             # SLO controller evaluation
     python -m repro fig14
 
 Environment knobs: ``REPRO_WORKERS`` sets the default process-pool width,
@@ -44,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         help="experiment id (e.g. fig06a, table1, sec48_history), "
-             "'all', 'list', 'cache', 'exp', 'trace', 'serve', 'lint', "
-             "or 'controllers'")
+             "'all', 'list', 'cache', 'exp', 'trace', 'serve' or 'lint'")
     parser.add_argument(
         "action", nargs="?", default=None,
         help="subcommand for 'cache': stats or clear")
@@ -163,8 +161,8 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    # 'trace', 'exp', 'lint', 'controllers' and 'serve' have their own
-    # option grammars; dispatch before the main parse.
+    # 'trace', 'exp', 'lint' and 'serve' have their own option grammars;
+    # dispatch before the main parse.
     if argv and argv[0] == "trace":
         return _trace_command(argv[1:])
     if argv and argv[0] == "serve":
@@ -176,9 +174,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] == "lint":
         from repro.analysis.cli import main as lint_main
         return lint_main(argv[1:])
-    if argv and argv[0] == "controllers":
-        from repro.controllers.cli import main as controllers_main
-        return controllers_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         for experiment_id in ExperimentSuite.EXPERIMENTS:
@@ -186,15 +181,21 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.experiment == "cache":
         return _cache_command(args.action)
+    if args.experiment == "all":
+        experiment_ids = list(ExperimentSuite.EXPERIMENTS)
+    elif args.experiment in ExperimentSuite.EXPERIMENTS:
+        experiment_ids = [args.experiment]
+    else:
+        # Checked before the suite opens (and creates) its stores.
+        print(f"error: unknown experiment {args.experiment!r}; choose "
+              f"'all' or one of: {', '.join(ExperimentSuite.EXPERIMENTS)}",
+              file=sys.stderr)
+        return 2
 
     preset = experiment_preset(args.preset)
     suite = ExperimentSuite(preset, workers=args.workers,
                             cache=None if args.no_cache else "default")
     print(suite.preset.describe(), file=sys.stderr)
-    if args.experiment == "all":
-        experiment_ids = list(ExperimentSuite.EXPERIMENTS)
-    else:
-        experiment_ids = [args.experiment]
 
     output_dir = pathlib.Path(args.output_dir) if args.output_dir else None
     if output_dir:

@@ -19,10 +19,9 @@ The public surface:
 * :func:`controller_by_name` / :data:`CONTROLLER_NAMES` — the registry
   the harness and CLI use.
 
-The evaluation harness (``repro controllers bench|compare``) lives in
-:mod:`repro.controllers.evaluate` and :mod:`repro.controllers.cli`; they
-are imported lazily so this package stays importable from the policy layer
-without dragging the experiment harness in.
+The package imports nothing from the experiment harness; the harness's
+``ext_controllers`` experiment scores the controllers against the paper's
+schemes (see docs/controllers.md).
 """
 
 from repro.controllers.base import (

@@ -11,8 +11,8 @@ Differences from the paper's History law worth knowing when tuning:
 
 * History only ever *boosts* (``alpha >= 1``); PID may shrink the scale
   below 1.0 (down to ``alpha_floor``) when a kernel overshoots, returning
-  quota headroom to non-QoS kernels faster — this is where PID wins on
-  the overshoot and non-QoS STP metrics of ``repro controllers compare``.
+  quota headroom to non-QoS kernels faster.  The ``ext_controllers``
+  experiment checks the effect: PID's non-QoS STP is at least Rollover's.
 * History integrates implicitly through cumulative IPC, which never
   forgets the warm-up transient; PID's explicit integral term is clamped
   (``pid_integral_limit``) and conditionally frozen while the output

@@ -19,25 +19,32 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 from repro.config import GPUConfig, PreemptionConfig
 from repro.kernels import intensity_class, pair_class
 from repro.harness.metrics import (
+    aggregate_scores,
     improvement,
     mean_instructions_per_watt,
     mean_nonqos_throughput,
     mean_qos_overshoot,
     miss_histogram,
     qos_reach,
+    score_case,
     system_throughput,
     MISS_BUCKETS,
+    SETTLE_BAND,
 )
 from repro.harness.cache import code_salt, open_default_cache
 from repro.harness.expdb import open_default_expdb
 from repro.harness.parallel import ParallelCaseRunner
-from repro.harness.presets import ExperimentPreset, FAST_PRESET
+from repro.harness.presets import (CONTROLLER_WORKLOADS, ExperimentPreset,
+                                   FAST_PRESET)
 from repro.harness.report import (format_table, output_digest,
                                   provenance_footer, series_rows)
 from repro.harness.runner import (CaseRecord, CaseRunner, CaseSpec,
                                   SweepRunner)
 
 PAIR_POLICIES = ("spart", "naive", "elastic", "rollover")
+#: ``ext_controllers``' policies: the paper's schemes, then the feedback
+#: controllers of :mod:`repro.controllers`.
+CONTROLLER_POLICIES = ("naive", "history", "elastic", "rollover", "pid", "mpc")
 
 
 @dataclass
@@ -79,17 +86,19 @@ class ExperimentSuite:
         self.cache = open_default_cache() if cache == "default" else cache
         self.expdb = open_default_expdb() if expdb == "default" else expdb
         #: Every runner whose ``experiment_log`` feeds figure provenance:
-        #: co-run runners under ``(gpu, cycles)``, serving runners under
-        #: ``("serve", gpu)``.
+        #: co-run runners under ``(gpu, cycles, telemetry)``, serving
+        #: runners under ``("serve", gpu)``.
         self._runners: Dict[tuple, SweepRunner] = {}
 
     def runner(self, gpu: Optional[GPUConfig] = None,
-               cycles: Optional[int] = None) -> CaseRunner:
-        key = (gpu or self.preset.gpu, cycles or self.preset.cycles)
+               cycles: Optional[int] = None,
+               telemetry: bool = False) -> CaseRunner:
+        gpu, cycles = gpu or self.preset.gpu, cycles or self.preset.cycles
+        key = (gpu, cycles, telemetry)
         if key not in self._runners:
             self._runners[key] = ParallelCaseRunner(
-                *key, cache=self.cache, workers=self.workers,
-                expdb=self.expdb)
+                gpu, cycles, cache=self.cache, workers=self.workers,
+                telemetry=telemetry, expdb=self.expdb)
         return self._runners[key]
 
     def serve_runner(self, gpu: Optional[GPUConfig] = None):
@@ -109,14 +118,15 @@ class ExperimentSuite:
 
     def _cases(self, policies: Sequence[str], goals: Sequence[float],
                qos_count: int = 0, gpu: Optional[GPUConfig] = None,
-               units: Optional[Sequence] = None
+               units: Optional[Sequence] = None, telemetry: bool = False
                ) -> Dict[Tuple[str, float], List[CaseRecord]]:
         """Run one figure's grid as one registered sweep; records keyed by
         ``(policy, goal)``, each list in unit order.
 
         Units are the preset's pairs (``qos_count`` 0) or its trios with
         ``qos_count`` QoS kernels, unless ``units`` names them.  Specs go
-        in policy, goal, unit order, which fixes the experiment id.
+        in policy, goal, unit order, which fixes the experiment id.  With
+        ``telemetry`` the records carry their per-epoch streams.
         """
         if units is None:
             units = self.preset.trios if qos_count else self.preset.pairs
@@ -127,7 +137,7 @@ class ExperimentSuite:
             return CaseSpec.pair(*unit, goal, policy)
 
         grid = [(policy, goal) for policy in policies for goal in goals]
-        records = self.runner(gpu).sweep(
+        records = self.runner(gpu, telemetry=telemetry).sweep(
             [spec(unit, goal, policy) for policy, goal in grid
              for unit in units])
         size = len(units)
@@ -560,10 +570,11 @@ class ExperimentSuite:
         from repro.sim import GPUSimulator, LaunchedKernel
 
         runner = self.runner()
+        cases = self._cases(("rollover",), (goal,))["rollover", goal]
         fused_stp: List[float] = []
         smk_stp: List[float] = []
         qos_reached = []
-        for first, second in self.preset.pairs:
+        for (first, second), case in zip(self.preset.pairs, cases):
             iso = {name: runner.isolated_ipc(name)
                    for name in (first, second)}
             fused = fuse_kernels(get_kernel(first), get_kernel(second))
@@ -576,7 +587,6 @@ class ExperimentSuite:
             # the static thread ratio (nothing enforces it).
             fused_stp.append(0.5 * fused_ipc / iso[first]
                              + 0.5 * fused_ipc / iso[second])
-            case = runner.run_pair(first, second, goal, "rollover")
             smk_stp.append(system_throughput(case))
             qos_reached.append(case.qos_met)
         rows = [
@@ -593,6 +603,54 @@ class ExperimentSuite:
             data={"fused_stp": _mean(fused_stp), "smk_stp": _mean(smk_stp),
                   "qos_reach": sum(qos_reached) / max(1, len(qos_reached))},
         )
+
+    def ext_controllers(self, goal: float = 0.60) -> ExperimentResult:
+        """SLO quota controllers (PID, MPC) against the paper's schemes,
+        scored from per-epoch telemetry (see docs/controllers.md).
+
+        One sweep runs every policy on :data:`CONTROLLER_WORKLOADS` with
+        telemetry on; :func:`~repro.harness.metrics.score_case` condenses
+        each trajectory, and a policy's aggregate row is the mean of its
+        per-workload rows.
+        """
+        names = ["+".join(kernels) for kernels in CONTROLLER_WORKLOADS]
+        cases = self._cases(CONTROLLER_POLICIES, (goal,), qos_count=1,
+                            units=CONTROLLER_WORKLOADS, telemetry=True)
+        aggregate = {}
+        workloads: Dict[str, Dict] = {name: {} for name in names}
+        for policy in CONTROLLER_POLICIES:
+            scores = [score_case(record, name)
+                      for name, record in zip(names, cases[policy, goal])]
+            aggregate[policy] = aggregate_scores(scores)
+            for score in scores:
+                workloads[score.workload][policy] = score.metrics()
+
+        def cells(metrics: Dict[str, float]) -> tuple:
+            return (f"{100.0 * metrics['qos_attainment']:.1f}",
+                    metrics["overshoot"],
+                    f"{metrics['settling_epochs']:.1f}",
+                    metrics["nonqos_stp"],
+                    f"{100.0 * metrics['qos_met_rate']:.0f}")
+
+        columns = ("attain%", "overshoot", "settle", "nonqos-STP", "met%")
+        title = f"Extension: SLO controllers (goal {goal:.0%})"
+        summary = format_table(
+            title, "policy", columns,
+            [(policy,) + cells(aggregate[policy])
+             for policy in CONTROLLER_POLICIES],
+            "means over the workloads below; attain%: epochs at goal; "
+            "overshoot: mean\nexcess over goal; settle: epochs until IPC "
+            f"stays within {SETTLE_BAND:.0%} of goal;\nnonqos-STP: non-QoS "
+            "throughput; met%: goals met at the end of the run")
+        breakdown = format_table(
+            "Per-workload scores", "workload policy", columns,
+            [(f"{name} {policy}",) + cells(workloads[name][policy])
+             for name in names for policy in CONTROLLER_POLICIES])
+        return ExperimentResult(
+            "ext_controllers", "Extension: SLO controllers vs the paper's "
+                               "schemes",
+            summary + "\n\n" + breakdown,
+            data={"aggregate": aggregate, "workloads": workloads})
 
     def ext_serving(self) -> ExperimentResult:
         """Extension: open-loop online serving — load vs tail latency.
@@ -658,7 +716,7 @@ class ExperimentSuite:
                    "fig11", "fig12", "fig13", "fig14", "sec48_preemption",
                    "sec48_history", "sec48_static", "ext_epoch_length",
                    "ext_scheduler", "ext_unmanaged", "ext_sharing_regimes",
-                   "ext_fusion", "ext_serving")
+                   "ext_fusion", "ext_controllers", "ext_serving")
 
     def run(self, experiment_id: str) -> ExperimentResult:
         """Run one figure driver and stamp its provenance.

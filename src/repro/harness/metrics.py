@@ -9,6 +9,10 @@ normalised to isolated execution and **averaged only over cases that met
 the QoS goals**; QoS kernel throughput is normalised to the goal itself
 (Figure 9's overshoot measure).
 
+The controller scores (:func:`score_case`) read a case's per-epoch
+telemetry instead of its end-of-run outcome; :data:`SCORE_METRICS` lists
+them.
+
 Float sums use :func:`math.fsum`, which rounds correctly on every Python
 (3.12's ``sum()`` compensates float sums, earlier ones do not).
 """
@@ -16,7 +20,8 @@ Float sums use :func:`math.fsum`, which rounds correctly on every Python
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.harness.runner import CaseRecord
 
@@ -123,3 +128,127 @@ def improvement(new: Optional[float], old: Optional[float]) -> Optional[float]:
     if new is None or old is None or old == 0:
         return None
     return new / old - 1.0
+
+
+# ------------------------------------------------------- controller scores
+
+#: Goal tolerance shared with :attr:`KernelOutcome.reached`.
+GOAL_TOLERANCE = 0.999
+
+#: Relative band below goal a kernel may not re-enter once "settled".
+SETTLE_BAND = 0.05
+
+#: What :meth:`CaseScore.metrics` reports, QoS kernels averaged:
+#:
+#: ``qos_attainment``
+#:     fraction of controlled epochs in which the QoS kernel met its goal
+#:     (within :data:`GOAL_TOLERANCE`); unlike Figure 6's end-of-run
+#:     verdict it also penalises a controller that oscillates around it.
+#: ``overshoot``
+#:     mean positive relative excess ``max(0, ipc/goal - 1)`` over
+#:     controlled epochs: quota spent above the goal is throughput taken
+#:     from non-QoS kernels (Figure 9's concern, per epoch).
+#: ``settling_epochs``
+#:     :func:`settling_epochs` of the trajectory: how long the control
+#:     loop takes to converge.
+#: ``nonqos_stp``
+#:     the non-QoS kernels' summed normalised throughput over the
+#:     measurement window (Figure 8's metric).
+#: ``qos_met_rate``
+#:     1.0 when every QoS goal was met at the end of the run, else 0.0.
+SCORE_METRICS = ("qos_attainment", "overshoot", "settling_epochs",
+                 "nonqos_stp", "qos_met_rate")
+
+
+@dataclass(frozen=True)
+class CaseScore:
+    """Controller metrics of one co-run case (QoS kernels averaged)."""
+
+    workload: str
+    policy: str
+    epochs: int
+    qos_attainment: float
+    overshoot: float
+    settling_epochs: float
+    nonqos_stp: float
+    qos_met: bool
+
+    def metrics(self) -> Dict[str, float]:
+        """The :data:`SCORE_METRICS` of this case."""
+        return {"qos_attainment": self.qos_attainment,
+                "overshoot": self.overshoot,
+                "settling_epochs": self.settling_epochs,
+                "nonqos_stp": self.nonqos_stp,
+                "qos_met_rate": 1.0 if self.qos_met else 0.0}
+
+
+def _kernel_trajectory(record: CaseRecord,
+                       name: str) -> List[Tuple[float, float]]:
+    """``(epoch_ipc, ipc_goal)`` for every controlled epoch of a kernel."""
+    trajectory = []
+    for epoch in record.telemetry:
+        for kernel in epoch.kernels:
+            if kernel.name == name and kernel.ipc_goal is not None:
+                trajectory.append((kernel.epoch_ipc, kernel.ipc_goal))
+    return trajectory
+
+
+def settling_epochs(trajectory: Sequence[Tuple[float, float]],
+                    band: float = SETTLE_BAND) -> float:
+    """First epoch index after which IPC stays within ``band`` of goal;
+    a kernel that never settles scores the full epoch count."""
+    settled_at = len(trajectory)
+    for index in range(len(trajectory) - 1, -1, -1):
+        ipc, goal = trajectory[index]
+        if ipc < (1.0 - band) * goal:
+            break
+        settled_at = index
+    return float(settled_at)
+
+
+def score_case(record: CaseRecord, workload: str) -> CaseScore:
+    """Score one telemetry-bearing case record (see :data:`SCORE_METRICS`).
+
+    A pure function of the record: scoring never re-simulates.
+    """
+    if not record.telemetry:
+        raise ValueError(
+            "case record carries no telemetry; run it with telemetry=True")
+    attainment: List[float] = []
+    overshoot: List[float] = []
+    settling: List[float] = []
+    for outcome in record.qos_kernels:
+        trajectory = _kernel_trajectory(record, outcome.name)
+        if not trajectory:
+            continue
+        met = sum(1 for ipc, goal in trajectory
+                  if ipc >= goal * GOAL_TOLERANCE)
+        attainment.append(met / len(trajectory))
+        overshoot.append(math.fsum(max(0.0, ipc / goal - 1.0)
+                                   for ipc, goal in trajectory)
+                         / len(trajectory))
+        settling.append(settling_epochs(trajectory))
+
+    def mean(values: List[float]) -> float:
+        return math.fsum(values) / len(values) if values else 0.0
+
+    return CaseScore(
+        workload=workload,
+        policy=record.policy,
+        epochs=len(record.telemetry),
+        qos_attainment=mean(attainment),
+        overshoot=mean(overshoot),
+        settling_epochs=mean(settling),
+        nonqos_stp=math.fsum(k.normalized_throughput
+                             for k in record.nonqos_kernels),
+        qos_met=record.qos_met,
+    )
+
+
+def aggregate_scores(scores: Sequence[CaseScore]) -> Dict[str, float]:
+    """Mean of each of the :data:`SCORE_METRICS` over ``scores``."""
+    if not scores:
+        raise ValueError("no scores to aggregate")
+    rows = [score.metrics() for score in scores]
+    return {metric: math.fsum(row[metric] for row in rows) / len(rows)
+            for metric in SCORE_METRICS}

@@ -275,6 +275,25 @@ def _eval_ext_fusion(data) -> List[ShapeCheck]:
     ]
 
 
+def _eval_ext_controllers(data) -> List[ShapeCheck]:
+    def series(metric: str) -> Dict:
+        return {policy: {"AVG": scores[metric]}
+                for policy, scores in data["aggregate"].items()}
+
+    stp, met = series("nonqos_stp"), series("qos_met_rate")
+    return [
+        _versus(stp, "pid", "rollover",
+                "PID hands quota headroom back: its non-QoS STP is at "
+                "least Rollover's", lambda pid, rollover: pid >= rollover),
+        _versus(met, "pid", "rollover",
+                "PID meets end-of-run goals at least as often as Rollover",
+                lambda pid, rollover: pid >= rollover),
+        _versus(met, "rollover", "naive",
+                "Rollover meets more end-of-run goals than Naive",
+                lambda rollover, naive: rollover > naive),
+    ]
+
+
 _EVALUATORS: Dict[str, Callable] = {
     "fig05": _eval_fig05,
     "fig06a": _eval_fig06a,
@@ -297,6 +316,7 @@ _EVALUATORS: Dict[str, Callable] = {
     "ext_scheduler": _eval_ext_scheduler,
     "ext_unmanaged": _eval_ext_unmanaged,
     "ext_fusion": _eval_ext_fusion,
+    "ext_controllers": _eval_ext_controllers,
 }
 
 

@@ -136,16 +136,17 @@ SMOKE_PRESET = ExperimentPreset(
     trio2_goals=(0.25, 0.50),
 )
 
-#: Named co-run workloads for the controller evaluation harness
-#: (``repro controllers bench|compare``): (name, kernel names, QoS count).
-#: Chosen to cover the intensity-class mix — compute-bound QoS over a
-#: memory hog, compute-vs-memory both ways, and a trio with one QoS kernel
-#: against two mixed background kernels.
-CONTROLLER_WORKLOADS: Tuple[Tuple[str, Tuple[str, ...], int], ...] = (
-    ("sgemm+lbm", ("sgemm", "lbm"), 1),
-    ("mri-q+spmv", ("mri-q", "spmv"), 1),
-    ("tpacf+stencil", ("tpacf", "stencil"), 1),
-    ("sad+histo+lbm", ("sad", "histo", "lbm"), 1),
+#: The co-run workloads of the ``ext_controllers`` comparison, each named
+#: by its kernels joined with ``+``; the first kernel is the one QoS kernel.
+#: They cover the intensity-class mix: a compute-bound QoS kernel over a
+#: memory hog, compute against memory both ways, and a trio with one QoS
+#: kernel against two mixed background kernels.  Every preset runs all
+#: four on its own machine and window.
+CONTROLLER_WORKLOADS: Tuple[Tuple[str, ...], ...] = (
+    ("sgemm", "lbm"),
+    ("mri-q", "spmv"),
+    ("tpacf", "stencil"),
+    ("sad", "histo", "lbm"),
 )
 
 

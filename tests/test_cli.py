@@ -44,9 +44,21 @@ class TestMain:
         assert written.exists()
         assert "comparison with prior work" in written.read_text()
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(ValueError):
-            main(["fig99", "--preset", "smoke"])
+    def test_unknown_experiment_raises(self, tmp_path, monkeypatch, capsys):
+        # The id is checked before the suite opens its stores: exit 2, the
+        # valid ids on stderr, and no store file left behind.  'controllers
+        # compare' is the command the ext_controllers experiment replaced.
+        monkeypatch.setenv("REPRO_EXPDB", str(tmp_path / "exp.sqlite"))
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
+        for argv in (["fig99", "--preset", "smoke"],
+                     ["controllers", "compare"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unknown experiment {argv[0]!r}" in captured.err
+            for experiment_id in ExperimentSuite.EXPERIMENTS:
+                assert experiment_id in captured.err
+        assert sorted(tmp_path.iterdir()) == []
 
 
 class TestTraceCommand:

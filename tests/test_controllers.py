@@ -3,8 +3,9 @@
 Covers the QuotaController seam (golden differential: the four paper
 schemes are bit-identical before/after the adaptation, with and without
 the scan oracle), the PID and MPC control laws, controller-state
-telemetry, cache keying of gain presets, the scoring harness and the
-``repro controllers`` CLI.
+telemetry and cache keying of gain presets.  The scoring lives with the
+harness metrics (``tests/test_metrics.py``) and the comparison with the
+experiments (``tests/test_experiments.py``).
 """
 
 import contextlib
@@ -22,11 +23,6 @@ from repro.controllers.base import (
     QuotaController,
     SchemeController,
     history_fallback_scale,
-)
-from repro.controllers.evaluate import (
-    score_case,
-    settling_epochs,
-    format_comparison,
 )
 from repro.controllers.mpc import MPCQuotaController, fit_line
 from repro.controllers.pid import PIDQuotaController
@@ -306,60 +302,3 @@ class TestGoldenDifferential:
                     if current != GOLDEN["records"][key]:
                         mismatches.append(f"{core}/{scheme}/{label}")
         assert mismatches == []
-
-
-# ------------------------------------------------------------------- scoring
-
-class TestScoring:
-    def test_settling_epochs(self):
-        goal = 10.0
-        trajectory = [(2.0, goal), (8.0, goal), (9.6, goal), (9.8, goal)]
-        assert settling_epochs(trajectory) == 2.0
-        assert settling_epochs([(9.9, goal)] * 3) == 0.0
-        assert settling_epochs([(1.0, goal)] * 3) == 3.0
-
-    def test_score_case_requires_telemetry(self):
-        record = CaseRunner(FAST_GPU, 6000).run_pair("sgemm", "lbm", 0.5,
-                                                     "pid")
-        with pytest.raises(ValueError, match="telemetry"):
-            score_case(record, "sgemm+lbm")
-
-    def test_score_case_metrics_are_bounded(self, pid_record):
-        score = score_case(pid_record, "sgemm+lbm")
-        assert 0.0 <= score.qos_attainment <= 1.0
-        assert score.overshoot >= 0.0
-        assert 0.0 <= score.settling_epochs <= score.epochs
-        assert score.nonqos_stp > 0.0
-        assert score.policy == "pid"
-
-    def test_format_comparison_lists_every_policy(self, pid_record):
-        score = score_case(pid_record, "sgemm+lbm")
-        table = format_comparison({"pid": [score]}, "title")
-        assert "title" in table
-        assert "pid" in table
-        assert "sgemm+lbm" in table
-
-
-# ----------------------------------------------------------------------- CLI
-
-class TestControllersCLI:
-    def test_bench_quick_smoke(self, capsys):
-        from repro.cli import main
-        code = main(["controllers", "bench", "--quick", "--workloads", "1",
-                     "--no-cache"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "rollover" in out
-        assert "pid" in out
-        assert "attain%" in out
-
-    def test_compare_writes_output_file(self, tmp_path, capsys):
-        from repro.cli import main
-        target = tmp_path / "compare.txt"
-        code = main(["controllers", "compare", "--quick", "--workloads", "1",
-                     "--no-cache", "-o", str(target)])
-        assert code == 0
-        table = target.read_text()
-        for policy in ("naive", "history", "elastic", "rollover", "pid",
-                       "mpc"):
-            assert policy in table

@@ -10,15 +10,18 @@ figures move on purpose.
 """
 
 import json
+import math
 import pathlib
 
 import pytest
 
 from repro.harness.cache import CaseCache
 from repro.harness.expdb import ExperimentDB
-from repro.harness.experiments import ExperimentResult, ExperimentSuite
+from repro.harness.experiments import (CONTROLLER_POLICIES, ExperimentResult,
+                                       ExperimentSuite)
+from repro.harness.metrics import score_case
 from repro.harness.paper import evaluate_experiment
-from repro.harness.presets import experiment_preset
+from repro.harness.presets import CONTROLLER_WORKLOADS, experiment_preset
 from repro.harness.report import output_digest
 
 #: Every smoke experiment's output digest and the shape claims known to
@@ -137,6 +140,26 @@ class TestExtensions:
         assert summary["smk"]["STP"] > summary["serial"]["STP"]
         # Fairness management produces the most equal slowdowns.
         assert summary["fair-smk"]["fairness"] >= summary["smk"]["fairness"]
+
+    def test_ext_controllers_scores_every_case_from_telemetry(self, suite):
+        # Each per-workload row is the score of a telemetry-bearing record
+        # of that policy and workload, and each aggregate row is the mean
+        # of the policy's per-workload rows.
+        data = suite.ext_controllers().data
+        names = ["+".join(kernels) for kernels in CONTROLLER_WORKLOADS]
+        cases = suite._cases(CONTROLLER_POLICIES, (0.60,), 1,
+                             units=CONTROLLER_WORKLOADS, telemetry=True)
+        assert list(data["workloads"]) == names
+        assert list(data["aggregate"]) == list(CONTROLLER_POLICIES)
+        for policy in CONTROLLER_POLICIES:
+            for name, record in zip(names, cases[policy, 0.60]):
+                assert record.policy == policy and record.telemetry
+                assert (data["workloads"][name][policy]
+                        == score_case(record, name).metrics())
+            for metric, value in data["aggregate"][policy].items():
+                rows = [data["workloads"][name][policy][metric]
+                        for name in names]
+                assert value == pytest.approx(math.fsum(rows) / len(rows))
 
 
 class TestPaperShapeClaims:

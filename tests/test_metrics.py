@@ -1,7 +1,9 @@
-"""Tests for QoSreach, throughput averages and the miss histogram."""
+"""Tests for QoSreach, throughput averages, the miss histogram and the
+controller scores."""
 
 import pytest
 
+from repro.config import FAST_GPU
 from repro.harness.metrics import (
     MISS_BUCKETS,
     average_normalized_turnaround,
@@ -12,9 +14,11 @@ from repro.harness.metrics import (
     mean_qos_overshoot,
     miss_histogram,
     qos_reach,
+    score_case,
+    settling_epochs,
     system_throughput,
 )
-from repro.harness.runner import CaseRecord, KernelOutcome
+from repro.harness.runner import CaseRecord, CaseRunner, KernelOutcome
 
 
 def outcome(name="k", is_qos=False, ipc=50.0, iso=100.0, goal=None):
@@ -118,3 +122,34 @@ class TestMultiprogrammingMetrics:
     def test_fairness_of_dead_machine(self):
         record = case(0.0, 80, nonqos_ipc=0.0)
         assert fairness_index(record) == 1.0
+
+
+# ------------------------------------------------------- controller scores
+
+@pytest.fixture(scope="module")
+def pid_record():
+    runner = CaseRunner(FAST_GPU, 6000, telemetry=True)
+    return runner.run_pair("sgemm", "lbm", 0.5, "pid")
+
+
+class TestScoring:
+    def test_settling_epochs(self):
+        goal = 10.0
+        trajectory = [(2.0, goal), (8.0, goal), (9.6, goal), (9.8, goal)]
+        assert settling_epochs(trajectory) == 2.0
+        assert settling_epochs([(9.9, goal)] * 3) == 0.0
+        assert settling_epochs([(1.0, goal)] * 3) == 3.0
+
+    def test_score_case_requires_telemetry(self):
+        record = CaseRunner(FAST_GPU, 6000).run_pair("sgemm", "lbm", 0.5,
+                                                     "pid")
+        with pytest.raises(ValueError, match="telemetry"):
+            score_case(record, "sgemm+lbm")
+
+    def test_score_case_metrics_are_bounded(self, pid_record):
+        score = score_case(pid_record, "sgemm+lbm")
+        assert 0.0 <= score.qos_attainment <= 1.0
+        assert score.overshoot >= 0.0
+        assert 0.0 <= score.settling_epochs <= score.epochs
+        assert score.nonqos_stp > 0.0
+        assert score.policy == "pid"

@@ -93,9 +93,16 @@ def fig08a(*rollover):
                        "rollover": dict(goals, AVG=0.3)}}
 
 
-#: Claims folded in from the retired per-figure benchmarks: experiment,
-#: paper-like data (every claim holds), and edge data with the verdict of
-#: each claim on it.
+def controllers(**scores):
+    """``ext_controllers`` data: ``policy=(nonqos_stp, qos_met_rate)``."""
+    return {"aggregate": {policy: {"nonqos_stp": stp, "qos_met_rate": met}
+                          for policy, (stp, met) in scores.items()}}
+
+
+#: Claims folded in from the retired per-figure benchmarks, and those of
+#: the retired controller comparison: experiment, paper-like data (every
+#: claim holds; fast-preset numbers for ext_controllers), and edge data
+#: with the verdict of each claim on it.
 FOLDED = {
     "fig06a-naive-misses-most": (
         "fig06a", averages(naive=0.206, spart=0.788, rollover=0.884,
@@ -139,6 +146,13 @@ FOLDED = {
         {"fused_stp": 1.067, "smk_stp": 0.981, "qos_reach": 11 / 12},
         {"fused_stp": 0.3, "smk_stp": 0.981, "qos_reach": 0.25},
         [False, False]),
+    "ext_controllers": (
+        "ext_controllers",
+        controllers(naive=(0.375, 0.0), rollover=(0.343, 1.0),
+                    pid=(0.356, 1.0)),
+        controllers(naive=(0.375, 1.0), rollover=(0.343, 1.0),
+                    pid=(0.330, 0.75)),
+        [False, False, False]),
 }
 
 
