@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "for Fine-Grained Sharing on GPUs' (ISCA 2017)")
     parser.add_argument(
         "experiment",
-        help="experiment id (e.g. fig06a, table1, sec48_history), "
+        help="experiment id (e.g. fig06a, table1, sec48b), "
              "'all', 'list', 'cache', 'exp', 'trace', 'serve' or 'lint'")
     parser.add_argument(
         "action", nargs="?", default=None,
@@ -174,23 +174,25 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] == "lint":
         from repro.analysis.cli import main as lint_main
         return lint_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.experiment == "list":
-        for experiment_id in ExperimentSuite.EXPERIMENTS:
-            print(experiment_id)
-        return 0
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "cache":
         return _cache_command(args.action)
-    if args.experiment == "all":
-        experiment_ids = list(ExperimentSuite.EXPERIMENTS)
-    elif args.experiment in ExperimentSuite.EXPERIMENTS:
-        experiment_ids = [args.experiment]
-    else:
-        # Checked before the suite opens (and creates) its stores.
+    # Checked before the suite opens (and creates) its stores.
+    if args.experiment not in ("all", "list") + ExperimentSuite.EXPERIMENTS:
         print(f"error: unknown experiment {args.experiment!r}; choose "
               f"'all' or one of: {', '.join(ExperimentSuite.EXPERIMENTS)}",
               file=sys.stderr)
         return 2
+    if args.action is not None:
+        parser.error(f"unexpected argument {args.action!r}: only 'cache' "
+                     "takes a subcommand")
+    if args.experiment == "list":
+        for experiment_id in ExperimentSuite.EXPERIMENTS:
+            print(experiment_id)
+        return 0
+    experiment_ids = (list(ExperimentSuite.EXPERIMENTS)
+                      if args.experiment == "all" else [args.experiment])
 
     preset = experiment_preset(args.preset)
     suite = ExperimentSuite(preset, workers=args.workers,

@@ -86,20 +86,18 @@ class ExperimentSuite:
         self.cache = open_default_cache() if cache == "default" else cache
         self.expdb = open_default_expdb() if expdb == "default" else expdb
         #: Every runner whose ``experiment_log`` feeds figure provenance:
-        #: co-run runners under ``(gpu, cycles, telemetry)``, serving
-        #: runners under ``("serve", gpu)``.
+        #: co-run runners under ``(gpu, telemetry)``, serving runners
+        #: under ``("serve", gpu)``.
         self._runners: Dict[tuple, SweepRunner] = {}
 
     def runner(self, gpu: Optional[GPUConfig] = None,
-               cycles: Optional[int] = None,
                telemetry: bool = False) -> CaseRunner:
-        gpu, cycles = gpu or self.preset.gpu, cycles or self.preset.cycles
-        key = (gpu, cycles, telemetry)
-        if key not in self._runners:
-            self._runners[key] = ParallelCaseRunner(
-                gpu, cycles, cache=self.cache, workers=self.workers,
+        gpu = gpu or self.preset.gpu
+        if (gpu, telemetry) not in self._runners:
+            self._runners[gpu, telemetry] = ParallelCaseRunner(
+                gpu, self.preset.cycles, cache=self.cache, workers=self.workers,
                 telemetry=telemetry, expdb=self.expdb)
-        return self._runners[key]
+        return self._runners[gpu, telemetry]
 
     def serve_runner(self, gpu: Optional[GPUConfig] = None):
         """The suite's :class:`repro.serve.runner.ServeRunner` (memoised),
@@ -116,22 +114,27 @@ class ExperimentSuite:
 
     # ----------------------------------------------------------- sweeps
 
-    def _cases(self, policies: Sequence[str], goals: Sequence[float],
-               qos_count: int = 0, gpu: Optional[GPUConfig] = None,
+    def _cases(self, policies: Sequence[str],
+               goals: Sequence[Optional[float]], qos_count: int = 0,
+               gpu: Optional[GPUConfig] = None,
                units: Optional[Sequence] = None, telemetry: bool = False
-               ) -> Dict[Tuple[str, float], List[CaseRecord]]:
+               ) -> Dict[Tuple[str, Optional[float]], List[CaseRecord]]:
         """Run one figure's grid as one registered sweep; records keyed by
         ``(policy, goal)``, each list in unit order.
 
         Units are the preset's pairs (``qos_count`` 0) or its trios with
-        ``qos_count`` QoS kernels, unless ``units`` names them.  Specs go
-        in policy, goal, unit order, which fixes the experiment id.  With
-        ``telemetry`` the records carry their per-epoch streams.
+        ``qos_count`` QoS kernels, unless ``units`` names them; a goal of
+        None runs the units with no QoS kernel.  Specs go in policy, goal,
+        unit order, which fixes the experiment id.  With ``telemetry`` the
+        records carry their per-epoch streams.
         """
         if units is None:
             units = self.preset.trios if qos_count else self.preset.pairs
 
-        def spec(unit, goal: float, policy: str) -> CaseSpec:
+        def spec(unit, goal: Optional[float], policy: str) -> CaseSpec:
+            if goal is None:
+                return CaseSpec(tuple(unit), (False,) * len(unit),
+                                (None,) * len(unit), policy)
             if qos_count:
                 return CaseSpec.trio(unit, qos_count, goal, policy)
             return CaseSpec.pair(*unit, goal, policy)
@@ -379,7 +382,7 @@ class ExperimentSuite:
         cases = self._cases((policy,), (goal,), gpu=gpu, units=units)
         return mean_nonqos_throughput(cases[policy, goal], met_only=False)
 
-    def sec48_preemption(self, goal: float = 0.80) -> ExperimentResult:
+    def sec48a(self, goal: float = 0.80) -> ExperimentResult:
         """Section 4.8: preemption overhead on non-QoS throughput (~1.9%)."""
         free_gpu = self.preset.gpu.scaled(
             preemption=PreemptionConfig(enabled=False))
@@ -397,7 +400,7 @@ class ExperimentSuite:
                   "overhead": overhead},
         )
 
-    def sec48_history(self) -> ExperimentResult:
+    def sec48b(self) -> ExperimentResult:
         """Section 4.8: effect of history-based quota adjustment."""
         def gain(series: Dict) -> Optional[float]:
             return improvement(series["history"]["AVG"],
@@ -412,7 +415,7 @@ class ExperimentSuite:
         result.data["gain"] = gain(result.data["series"])
         return result
 
-    def sec48_static(self, goal: float = 0.65) -> ExperimentResult:
+    def sec48c(self, goal: float = 0.65) -> ExperimentResult:
         """Section 4.8: static resource management on M+M pairs (+13.3%)."""
         mm_pairs = [(qos, nonqos) for qos, nonqos in self.preset.pairs
                     if intensity_class(qos) == "M" and intensity_class(nonqos) == "M"]
@@ -498,52 +501,21 @@ class ExperimentSuite:
     def ext_sharing_regimes(self) -> ExperimentResult:
         """The Section 2.3 design space on one axis: system throughput and
         fairness of serial time-multiplexing, unmanaged SMK, fairness-managed
-        SMK [42], and spatial partitioning, over the preset's pairs with no
-        QoS goals in play.
+        SMK [42], and spatial partitioning (a fixed even split of the SMs),
+        over the preset's pairs with no QoS kernel.
 
-        Expected shape (the paper's motivation): any concurrent regime beats
-        serial on STP; fairness-managed SMK has the best fairness index.
+        Expected shape (the paper's motivation): unmanaged SMK beats serial
+        on STP, and fairness-managed SMK has the best fairness index.
         """
-        from repro.baselines import SpartPolicy
-        from repro.sharing import FairSMKPolicy, SerialPolicy
-        from repro.sim import GPUSimulator, LaunchedKernel, SharingPolicy
-        from repro.kernels import get_kernel
-
-        runner = self.runner()
         regimes = ("serial", "smk", "fair-smk", "spart")
-        series = {regime: {"STP": [], "fairness": []} for regime in regimes}
-        for first, second in self.preset.pairs:
-            iso = {name: runner.isolated_ipc(name) for name in (first, second)}
-            for regime in regimes:
-                if regime == "serial":
-                    policy = SerialPolicy(slice_epochs=2)
-                elif regime == "fair-smk":
-                    policy = FairSMKPolicy(iso)
-                elif regime == "spart":
-                    policy = SpartPolicy()
-                else:
-                    policy = SharingPolicy()
-                launches = [LaunchedKernel(get_kernel(first)),
-                            LaunchedKernel(get_kernel(second))]
-                if regime == "spart":
-                    # Spart needs a QoS anchor; give it a trivial goal so the
-                    # hill climber stays put and we measure pure partitioning.
-                    launches[0] = LaunchedKernel(get_kernel(first),
-                                                 is_qos=True, ipc_goal=1e-6)
-                sim = GPUSimulator(self.preset.gpu, launches, policy)
-                sim.run(runner.warmup_cycles)
-                sim.mark_measurement_start()
-                sim.run(self.preset.cycles)
-                result = sim.result()
-                shares = [result.kernels[i].ipc / iso[name]
-                          for i, name in enumerate((first, second))]
-                series[regime]["STP"].append(math.fsum(shares))
-                top = max(shares)
-                series[regime]["fairness"].append(
-                    min(shares) / top if top > 0 else 1.0)
-        summary = {regime: {metric: _mean(values)
-                            for metric, values in metrics.items()}
-                   for regime, metrics in series.items()}
+        summary = {}
+        for (regime, _), records in self._cases(regimes, (None,)).items():
+            shares = [[kernel.normalized_throughput for kernel in case.kernels]
+                      for case in records]
+            summary[regime] = {
+                "STP": _mean(map(system_throughput, records)),
+                "fairness": _mean(min(row) / max(row) if max(row) > 0 else 1.0
+                                  for row in shares)}
         rows = [(metric,) + tuple(summary[regime][metric]
                                   for regime in regimes)
                 for metric in ("STP", "fairness")]
@@ -566,42 +538,29 @@ class ExperimentSuite:
         normalised throughput against the SMK co-run, and report the QoS
         capability column the software approach simply lacks.
         """
-        from repro.kernels import fuse_kernels, get_kernel
-        from repro.sim import GPUSimulator, LaunchedKernel
-
         runner = self.runner()
         cases = self._cases(("rollover",), (goal,))["rollover", goal]
-        fused_stp: List[float] = []
-        smk_stp: List[float] = []
-        qos_reached = []
-        for (first, second), case in zip(self.preset.pairs, cases):
-            iso = {name: runner.isolated_ipc(name)
-                   for name in (first, second)}
-            fused = fuse_kernels(get_kernel(first), get_kernel(second))
-            sim = GPUSimulator(self.preset.gpu, [LaunchedKernel(fused)])
-            sim.run(runner.warmup_cycles)
-            sim.mark_measurement_start()
-            sim.run(self.preset.cycles)
-            fused_ipc = sim.result().kernels[0].ipc
+        fused_stp = []
+        for case in cases:
+            first, second = case.kernels
+            fused_ipc = runner.isolated_ipc(
+                f"fused-{first.name}+{second.name}")
             # The software baseline's best case: assume retirement splits by
             # the static thread ratio (nothing enforces it).
-            fused_stp.append(0.5 * fused_ipc / iso[first]
-                             + 0.5 * fused_ipc / iso[second])
-            smk_stp.append(system_throughput(case))
-            qos_reached.append(case.qos_met)
-        rows = [
-            ("fused kernel", _mean(fused_stp), "no"),
-            ("SMK + Rollover", _mean(smk_stp),
-             f"{sum(qos_reached)}/{len(qos_reached)} goals"),
-        ]
+            fused_stp.append(0.5 * fused_ipc / first.isolated_ipc
+                             + 0.5 * fused_ipc / second.isolated_ipc)
+        fused, smk = _mean(fused_stp), _mean(map(system_throughput, cases))
+        met = sum(case.qos_met for case in cases)
+        rows = [("fused kernel", fused, "no"),
+                ("SMK + Rollover", smk, f"{met}/{len(cases)} goals")]
         return ExperimentResult(
             "ext_fusion", "Extension: kernel fusion vs hardware QoS sharing",
             format_table(f"Extension: fusion baseline (goal {goal:.0%})",
                          "approach", ("STP", "per-kernel QoS"), rows,
                          "fusion co-locates kernels but cannot steer either "
                          "one (Section 2.3)"),
-            data={"fused_stp": _mean(fused_stp), "smk_stp": _mean(smk_stp),
-                  "qos_reach": sum(qos_reached) / max(1, len(qos_reached))},
+            data={"fused_stp": fused, "smk_stp": smk,
+                  "qos_reach": qos_reach(cases)},
         )
 
     def ext_controllers(self, goal: float = 0.60) -> ExperimentResult:
@@ -713,8 +672,8 @@ class ExperimentSuite:
 
     EXPERIMENTS = ("table1", "table2", "fig05", "fig06a", "fig06b", "fig06c",
                    "fig07", "fig08a", "fig08b", "fig08c", "fig09", "fig10",
-                   "fig11", "fig12", "fig13", "fig14", "sec48_preemption",
-                   "sec48_history", "sec48_static", "ext_epoch_length",
+                   "fig11", "fig12", "fig13", "fig14", "sec48a", "sec48b",
+                   "sec48c", "ext_epoch_length",
                    "ext_scheduler", "ext_unmanaged", "ext_sharing_regimes",
                    "ext_fusion", "ext_controllers", "ext_serving")
 

@@ -57,6 +57,11 @@ def _avg(series: Dict, key: str) -> Optional[float]:
     return series.get(key, {}).get("AVG")
 
 
+def _averages(rows: Dict[str, Dict[str, float]], metric: str) -> Dict:
+    """``rows``' ``metric`` column as series averages, for :func:`_versus`."""
+    return {name: {"AVG": row[metric]} for name, row in rows.items()}
+
+
 def _versus(series: Dict, high: str, low: str, description: str,
             holds: Callable[[float, float], bool]) -> ShapeCheck:
     """A claim on two series' averages: ``holds(high AVG, low AVG)``."""
@@ -263,6 +268,20 @@ def _eval_ext_unmanaged(data) -> List[ShapeCheck]:
                     lambda rollover, smk: rollover > smk)]
 
 
+def _eval_ext_sharing_regimes(data) -> List[ShapeCheck]:
+    fairness = _averages(data["summary"], "fairness")
+    runner_up = max((regime for regime in fairness if regime != "fair-smk"),
+                    key=lambda regime: fairness[regime]["AVG"])
+    return [
+        _versus(_averages(data["summary"], "STP"), "smk", "serial",
+                "unmanaged SMK beats serial time multiplexing on STP",
+                lambda smk, serial: smk > serial),
+        _versus(fairness, "fair-smk", runner_up,
+                "fairness-managed SMK has the highest fairness of the four "
+                "regimes", lambda fair, other: fair >= other),
+    ]
+
+
 def _eval_ext_fusion(data) -> List[ShapeCheck]:
     fused, smk = data["fused_stp"], data["smk_stp"]
     return [
@@ -276,11 +295,8 @@ def _eval_ext_fusion(data) -> List[ShapeCheck]:
 
 
 def _eval_ext_controllers(data) -> List[ShapeCheck]:
-    def series(metric: str) -> Dict:
-        return {policy: {"AVG": scores[metric]}
-                for policy, scores in data["aggregate"].items()}
-
-    stp, met = series("nonqos_stp"), series("qos_met_rate")
+    stp = _averages(data["aggregate"], "nonqos_stp")
+    met = _averages(data["aggregate"], "qos_met_rate")
     return [
         _versus(stp, "pid", "rollover",
                 "PID hands quota headroom back: its non-QoS STP is at "
@@ -315,6 +331,7 @@ _EVALUATORS: Dict[str, Callable] = {
     "ext_epoch_length": _eval_ext_epoch_length,
     "ext_scheduler": _eval_ext_scheduler,
     "ext_unmanaged": _eval_ext_unmanaged,
+    "ext_sharing_regimes": _eval_ext_sharing_regimes,
     "ext_fusion": _eval_ext_fusion,
     "ext_controllers": _eval_ext_controllers,
 }

@@ -37,23 +37,32 @@ from repro.controllers import CONTROLLER_NAMES, controller_by_name
 from repro.kernels import get_kernel, intensity_class
 from repro.power import PowerModel
 from repro.qos import QoSPolicy
+from repro.sharing import FairSMKPolicy, SerialPolicy
 from repro.sim import GPUSimulator, LaunchedKernel, SharingPolicy
 from repro.sim.telemetry import EpochRecord
 
 #: Scheme/controller names accepted by :meth:`CaseRunner.run_case`.  The
 #: ``pid`` and ``mpc`` entries run the paper's quota machinery under the
 #: corresponding :mod:`repro.controllers` control law (Rollover boundary
-#: accounting, controller-driven quota scales).
+#: accounting, controller-driven quota scales); ``serial`` and ``fair-smk``
+#: are Section 2.3's time-multiplexed and fairness-managed regimes.
 POLICY_NAMES = ("spart", "naive", "history", "elastic", "rollover",
-                "rollover-time", "rollover-nostatic", "smk") + CONTROLLER_NAMES
+                "rollover-time", "rollover-nostatic", "smk", "serial",
+                "fair-smk") + CONTROLLER_NAMES
 
 
-def make_policy(name: str) -> SharingPolicy:
-    """Instantiate a sharing policy from its experiment name."""
+def make_policy(name: str, isolated_ipc: Optional[Dict[str, float]] = None
+                ) -> SharingPolicy:
+    """Instantiate a sharing policy from its experiment name; ``fair-smk``
+    normalises progress by ``isolated_ipc`` (kernel name -> isolated IPC)."""
     if name == "spart":
         return SpartPolicy()
     if name == "smk":
         return SharingPolicy()
+    if name == "serial":
+        return SerialPolicy(slice_epochs=2)
+    if name == "fair-smk":
+        return FairSMKPolicy(isolated_ipc or {})
     if name == "rollover-nostatic":
         return QoSPolicy("rollover", static_adjustment=False)
     if name in CONTROLLER_NAMES:
@@ -555,12 +564,13 @@ class CaseRunner(SweepRunner):
                                   tuple(goal_fractions), policy))
 
     def _compute(self, spec: CaseSpec) -> CaseRecord:
+        isolated = {name: self.isolated_ipc(name) for name in spec.names}
         launches = []
         goals = []
         for name, is_qos, fraction in zip(spec.names, spec.qos_flags,
                                           spec.goal_fractions):
             if is_qos:
-                goal = fraction * self.isolated_ipc(name)
+                goal = fraction * isolated[name]
                 launches.append(LaunchedKernel(get_kernel(name), is_qos=True,
                                                ipc_goal=goal))
             else:
@@ -572,7 +582,8 @@ class CaseRunner(SweepRunner):
         if self.telemetry:
             from repro.sim.telemetry import TelemetryRecorder
             recorder = TelemetryRecorder()
-        sim = GPUSimulator(self.gpu, launches, make_policy(spec.policy),
+        sim = GPUSimulator(self.gpu, launches,
+                           make_policy(spec.policy, isolated),
                            telemetry=recorder)
         sim.run(self.warmup_cycles)
         sim.mark_measurement_start()
@@ -588,7 +599,7 @@ class CaseRunner(SweepRunner):
                 is_qos=launch.is_qos,
                 goal_fraction=fraction if launch.is_qos else None,
                 ipc=kernel_result.ipc,
-                isolated_ipc=self.isolated_ipc(kernel_result.name),
+                isolated_ipc=isolated[kernel_result.name],
                 ipc_goal=goal,
                 intensity=intensity_class(kernel_result.name),
             ))

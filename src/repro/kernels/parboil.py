@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.kernels.fusion import fuse_kernels
 from repro.kernels.spec import InstructionMix, KernelSpec, MemoryPattern
 
 MB = 1024 * 1024
@@ -201,7 +202,11 @@ MEMORY_INTENSIVE: Tuple[str, ...] = tuple(
 
 
 def get_kernel(name: str) -> KernelSpec:
-    """Look up a benchmark model by name."""
+    """Look up a benchmark model by name, or ``fused-<a>+<b>``: the
+    :func:`~repro.kernels.fusion.fuse_kernels` result of two of them."""
+    if name.startswith("fused-") and "+" in name:
+        first, second = name[len("fused-"):].split("+", 1)
+        return fuse_kernels(get_kernel(first), get_kernel(second))
     try:
         return PARBOIL[name]
     except KeyError:

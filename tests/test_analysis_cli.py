@@ -3,6 +3,8 @@
 import json
 import pathlib
 
+import pytest
+
 from repro.analysis.cli import build_lint_parser, main as lint_main
 from repro.cli import main as repro_main
 
@@ -16,6 +18,14 @@ def project(tmp_path, source=DIRTY):
     target = tmp_path / "mod.py"
     target.write_text(source)
     return target
+
+
+@pytest.fixture
+def private_lint_cache(tmp_path, monkeypatch):
+    """Module records of temporary files go to the test's own directory.
+    In the checkout's cache they outlive the run, keyed by a temporary
+    path that a later run can repeat and then read back."""
+    monkeypatch.setenv("REPRO_LINT_CACHE", str(tmp_path / "lint-cache"))
 
 
 class TestParser:
@@ -32,6 +42,7 @@ class TestParser:
         assert args.rules == ["DET001", "LAY001"]
 
 
+@pytest.mark.usefixtures("private_lint_cache")
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         target = project(tmp_path, CLEAN)
@@ -70,6 +81,7 @@ class TestExitCodes:
         assert "1 noqa-suppressed" in err
 
 
+@pytest.mark.usefixtures("private_lint_cache")
 class TestOutputFormats:
     def test_json_report(self, tmp_path, capsys):
         target = project(tmp_path)
@@ -147,6 +159,7 @@ class TestDocsCatalogSync:
         assert documented == set(all_rules())
 
 
+@pytest.mark.usefixtures("private_lint_cache")
 class TestReproCliDispatch:
     def test_lint_subcommand_routes_through_main_cli(self, tmp_path, capsys):
         target = project(tmp_path)

@@ -60,6 +60,23 @@ class TestMain:
                 assert experiment_id in captured.err
         assert sorted(tmp_path.iterdir()) == []
 
+    def test_stray_word_after_an_experiment_exits_2(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # Only 'cache' takes a subcommand.  Anywhere else the word is
+        # refused with the usage line before any store is opened.
+        monkeypatch.setenv("REPRO_EXPDB", str(tmp_path / "exp.sqlite"))
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
+        for argv in (["table1", "clear", "--preset", "smoke"],
+                     ["list", "extra"], ["all", "stats"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: repro-gpu-qos")
+            assert f"unexpected argument {argv[1]!r}" in captured.err
+        assert sorted(tmp_path.iterdir()) == []
+
 
 class TestTraceCommand:
     def test_writes_valid_trace(self, tmp_path, capsys):

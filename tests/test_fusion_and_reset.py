@@ -64,6 +64,12 @@ class TestFuseKernels:
         fused = fuse_kernels(get_kernel("sgemm"), get_kernel("lbm"))
         assert "sgemm" in fused.name and "lbm" in fused.name
 
+    def test_get_kernel_looks_up_the_default_name(self):
+        fused = fuse_kernels(get_kernel("sgemm"), get_kernel("lbm"))
+        assert get_kernel(fused.name) == fused
+        with pytest.raises(ValueError, match="'nope'"):
+            get_kernel("fused-sgemm+nope")
+
 
 class TestContextReset:
     def _gpu(self, mode):

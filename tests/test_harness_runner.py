@@ -6,6 +6,7 @@ from repro.config import FAST_GPU
 from repro.harness.runner import CaseRunner, make_policy, POLICY_NAMES
 from repro.baselines import SpartPolicy
 from repro.qos import QoSPolicy
+from repro.sharing import FairSMKPolicy, SerialPolicy
 from repro.sim import SharingPolicy
 
 CYCLES = 6000
@@ -36,9 +37,21 @@ class TestMakePolicy:
         assert isinstance(policy, QoSPolicy)
         assert policy.static_adjustment is False
 
+    def test_sharing_regimes(self):
+        serial = make_policy("serial")
+        assert isinstance(serial, SerialPolicy)
+        assert serial.slice_epochs == 2
+        fair = make_policy("fair-smk", {"sgemm": 40.0, "lbm": 20.0})
+        assert isinstance(fair, FairSMKPolicy)
+        assert fair.isolated_ipc == {"sgemm": 40.0, "lbm": 20.0}
+
+    def test_fair_smk_needs_isolated_ipcs(self):
+        with pytest.raises(ValueError, match="isolated IPCs"):
+            make_policy("fair-smk")
+
     def test_every_listed_name_constructs(self):
         for name in POLICY_NAMES:
-            make_policy(name)
+            make_policy(name, {"sgemm": 40.0, "lbm": 20.0})
 
 
 class TestIsolated:

@@ -93,16 +93,23 @@ def fig08a(*rollover):
                        "rollover": dict(goals, AVG=0.3)}}
 
 
+def regimes(**values):
+    """``ext_sharing_regimes`` data: ``regime=(STP, fairness)``."""
+    return {"summary": {regime: {"STP": stp, "fairness": fairness}
+                        for regime, (stp, fairness) in values.items()}}
+
+
 def controllers(**scores):
     """``ext_controllers`` data: ``policy=(nonqos_stp, qos_met_rate)``."""
     return {"aggregate": {policy: {"nonqos_stp": stp, "qos_met_rate": met}
                           for policy, (stp, met) in scores.items()}}
 
 
-#: Claims folded in from the retired per-figure benchmarks, and those of
-#: the retired controller comparison: experiment, paper-like data (every
-#: claim holds; fast-preset numbers for ext_controllers), and edge data
-#: with the verdict of each claim on it.
+#: Claims folded in from the retired per-figure benchmarks, those of the
+#: retired controller comparison and the sharing-regime claims: experiment,
+#: paper-like data (every claim holds; fast-preset numbers for
+#: ext_controllers and ext_sharing_regimes), and edge data with the
+#: verdict of each claim on it.
 FOLDED = {
     "fig06a-naive-misses-most": (
         "fig06a", averages(naive=0.206, spart=0.788, rollover=0.884,
@@ -141,6 +148,13 @@ FOLDED = {
     "ext_unmanaged": (
         "ext_unmanaged", averages(smk=0.25, rollover=0.875),
         averages(smk=0.875, rollover=0.25), [False]),
+    "ext_sharing_regimes": (
+        "ext_sharing_regimes",
+        regimes(serial=(0.745, 0.264), smk=(0.986, 0.390),
+                **{"fair-smk": (0.961, 0.849)}, spart=(0.887, 0.452)),
+        regimes(serial=(0.99, 0.264), smk=(0.986, 0.390),
+                **{"fair-smk": (0.961, 0.45)}, spart=(0.887, 0.452)),
+        [False, False]),
     "ext_fusion": (
         "ext_fusion",
         {"fused_stp": 1.067, "smk_stp": 0.981, "qos_reach": 11 / 12},

@@ -17,9 +17,12 @@ def spec(name):
 
 
 def make_sim(goal, num_sms=4, policy=None, kernels=2):
+    """A QoS kernel with ``goal`` (a plain kernel when None) and plain
+    co-runners."""
     gpu = GPUConfig(num_sms=num_sms, num_mcs=1, epoch_length=500,
                     idle_warp_samples=10, sm=SMConfig(warp_schedulers=2))
-    launches = [LaunchedKernel(spec("qos-a"), is_qos=True, ipc_goal=goal)]
+    launches = [LaunchedKernel(spec("plain-a")) if goal is None else
+                LaunchedKernel(spec("qos-a"), is_qos=True, ipc_goal=goal)]
     launches.append(LaunchedKernel(spec("plain-b")))
     if kernels == 3:
         launches.append(LaunchedKernel(spec("plain-c")))
@@ -84,6 +87,15 @@ class TestHillClimbing:
         sim = make_sim(goal=0.5, policy=policy)  # trivially easy goal
         sim.run(6000)
         assert policy.sm_count(1) > policy.sm_count(0)
+
+    def test_no_qos_kernel_keeps_the_even_split(self):
+        # With no goal to chase the hill climber never moves: a pair with
+        # no QoS kernel measures pure partitioning.
+        policy = SpartPolicy()
+        sim = make_sim(goal=None, policy=policy)
+        sim.run(6000)
+        assert policy.moves == 0
+        assert (policy.sm_count(0), policy.sm_count(1)) == (2, 2)
 
     def test_partition_always_covers_all_sms(self):
         policy = SpartPolicy()
