@@ -21,37 +21,13 @@ Quickstart::
     sim.run(50_000)
     for kernel in sim.result().kernels:
         print(kernel.name, kernel.ipc, kernel.reached_goal)
+
+Names and subpackages load on first use: ``import repro`` imports no
+simulator code, so ``repro lint`` and :mod:`repro.harness.expdb` load
+without it.
 """
 
-from repro.config import (
-    FAST_GPU,
-    GPUConfig,
-    LatencyConfig,
-    MemoryConfig,
-    PAPER_GPU,
-    PASCAL56_GPU,
-    PreemptionConfig,
-    SMConfig,
-    preset,
-)
-from repro.kernels import (
-    InstructionMix,
-    KernelSpec,
-    MemoryPattern,
-    PARBOIL,
-    PARBOIL_NAMES,
-    get_kernel,
-)
-from repro.sim import GPUSimulator, LaunchedKernel, SharingPolicy, SimulationResult
-from repro.qos import (
-    QoSPolicy,
-    QoSRequirement,
-    TransferModel,
-    translate_qos_goal,
-    scheme_by_name,
-)
-from repro.baselines import SpartPolicy
-from repro.power import PowerModel
+import importlib
 
 __version__ = "1.0.0"
 
@@ -84,3 +60,56 @@ __all__ = [
     "PowerModel",
     "__version__",
 ]
+
+
+def _lazy_exports(namespace, exports):
+    """Module ``__getattr__`` and ``__dir__`` (PEP 562) for the package
+    whose globals are ``namespace``.
+
+    ``exports`` maps each exported name to the module it comes from; that
+    module is imported on the name's first access.  Any other name is
+    imported as a submodule of the package, and an unknown one raises
+    ``AttributeError``.  A resolved name is bound in ``namespace``, so the
+    hook runs once per name.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        if name in exports:
+            value = getattr(importlib.import_module(exports[name]), name)
+        else:
+            try:
+                value = importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as error:
+                if error.name != f"{package}.{name}":
+                    raise
+                raise AttributeError(f"module {package!r} has no attribute "
+                                     f"{name!r}") from None
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(namespace["__all__"]))
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("repro.config", ("FAST_GPU", "PAPER_GPU", "PASCAL56_GPU", "GPUConfig",
+                          "SMConfig", "MemoryConfig", "LatencyConfig",
+                          "PreemptionConfig", "preset")),
+        ("repro.kernels", ("InstructionMix", "KernelSpec", "MemoryPattern",
+                           "PARBOIL", "PARBOIL_NAMES", "get_kernel")),
+        ("repro.sim", ("GPUSimulator", "LaunchedKernel", "SharingPolicy",
+                       "SimulationResult")),
+        ("repro.qos", ("QoSPolicy", "QoSRequirement", "TransferModel",
+                       "translate_qos_goal", "scheme_by_name")),
+        ("repro.baselines", ("SpartPolicy",)),
+        ("repro.power", ("PowerModel",)),
+    )
+    for name in names
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -31,9 +31,6 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.harness.experiments import ExperimentSuite
-from repro.harness.presets import experiment_preset
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -106,6 +103,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def _trace_command(argv: Sequence[str]) -> int:
+    from repro.harness.presets import experiment_preset
     from repro.harness.runner import CaseRunner
     from repro.trace.jsonl import write_trace
 
@@ -178,6 +176,9 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.experiment == "cache":
         return _cache_command(args.action)
+    from repro.harness.experiments import ExperimentSuite
+    from repro.harness.presets import experiment_preset
+
     # Checked before the suite opens (and creates) its stores.
     if args.experiment not in ("all", "list") + ExperimentSuite.EXPERIMENTS:
         print(f"error: unknown experiment {args.experiment!r}; choose "
