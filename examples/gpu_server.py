@@ -10,17 +10,14 @@ serving concepts directly — the period becomes a
 SLO in cycles — and per-tenant deadline attainment falls out of the
 request records.
 
-Migration note: earlier revisions of this example drove the OS-level
-dispatcher (``repro.osched.GPUServer``), which translates each deadline
-into an IPC goal and co-schedules *infinite* kernel streams under
-Rollover.  The serving layer supersedes that model for request-shaped
-work: each job is a finite grid launched mid-simulation
+Each job is a finite grid launched mid-simulation
 (``GPUSimulator.launch_at``) and retired when it drains, so "did the job
-make its deadline" is measured directly instead of being inferred from a
-sustained IPC.  ``repro.osched`` remains the right tool when tenants are
-continuous kernels with throughput contracts rather than discrete jobs;
-its demand predictor also powers the serving layer's SLO-feasibility
-admission policy.
+make its deadline" is read off its request record instead of being
+inferred from a sustained IPC.  A continuous kernel with a throughput
+contract is a co-run case: ``examples/video_analytics.py`` turns a frame
+rate into an IPC goal with ``translate_qos_goal`` (Section 3.2).  The
+serving layer's SLO-feasibility admission policy learns each class's
+service time online (:mod:`repro.serve.predictor`).
 
 Run:  python examples/gpu_server.py
 """

@@ -57,11 +57,10 @@ IMPORT_CONTRACTS: Tuple[ImportContract, ...] = (
     ImportContract(
         name="engine-harness-independence",
         packages=("repro.sim",),
-        forbidden=("repro.harness", "repro.osched", "repro.trace",
-                   "repro.serve"),
+        forbidden=("repro.harness", "repro.trace", "repro.serve"),
         rationale=("the simulator core must stay runnable without the "
-                   "experiment harness, cluster scheduler, exporters or "
-                   "the serving layer (serve drives the engine through "
+                   "experiment harness, exporters or the serving layer "
+                   "(serve drives the engine through "
                    "launch_at/on_kernel_retired, never the reverse)"),
     ),
     ImportContract(
@@ -71,11 +70,11 @@ IMPORT_CONTRACTS: Tuple[ImportContract, ...] = (
                    "repro.harness.experiments"),
         rationale=("the serving layer sits inside the code-salt closure "
                    "(serve results are cached): it may build on the "
-                   "simulator, qos machinery, osched predictor and the "
-                   "salted harness modules (runner/cache/expdb), but "
-                   "pulling in the linter or the unsalted pool/figure "
-                   "drivers would either drag unsalted code into results "
-                   "or invert the tooling layering"),
+                   "simulator, qos machinery and the salted harness "
+                   "modules (runner/cache/expdb), but pulling in the "
+                   "linter or the unsalted pool/figure drivers would "
+                   "either drag unsalted code into results or invert the "
+                   "tooling layering"),
     ),
     ImportContract(
         name="expdb-engine-independence",
@@ -96,7 +95,7 @@ IMPORT_CONTRACTS: Tuple[ImportContract, ...] = (
         packages=("repro.config", "repro.isa", "repro.kernels", "repro.sim",
                   "repro.qos", "repro.baselines", "repro.sharing",
                   "repro.controllers", "repro.power", "repro.harness",
-                  "repro.trace", "repro.osched", "repro.serve"),
+                  "repro.trace", "repro.serve"),
         forbidden=("repro.analysis",),
         rationale=("the linter is development tooling; runtime modules must "
                    "never depend on it (only the CLI dispatches into it)"),

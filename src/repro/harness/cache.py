@@ -12,14 +12,19 @@ result depends on:
   :class:`~repro.config.GPUConfig` (as a nested dict) plus a **code
   salt**, a digest of the source of every package that affects simulation
   outcomes (`config`, `isa`, `kernels`, `sim`, `qos`, `baselines`,
-  `controllers`, `sharing`, `power`, `osched`, `serve`, and the harness
-  runner, cache and experiment store — :data:`_SALTED`).  Editing any of
+  `controllers`, `sharing`, `power`, `serve`, and the harness runner,
+  cache and experiment store — :data:`_SALTED`).  Editing any of
   those files invalidates the whole cache automatically; docs/harness-
   report edits do not.  The digest is computed once per config object,
   not once per key;
 * the spec: kernel names, QoS flags and goal fractions, and the policy
   name, plus measured cycles and warm-up cycles (co-run and isolated
   runs), or the serving spec payload (served cases).
+
+Entries hold plain JSON values: the runners encode and decode their own
+records (:func:`repro.harness.runner.record_from_dict` for co-run cases),
+so this module imports nothing of the simulator and ``repro-gpu-qos cache
+stats`` or ``exp list`` can read a store without loading it.
 
 Opt-out / relocation via the ``REPRO_CACHE`` environment variable: ``0`` /
 ``off`` disables persistence entirely, any other value is used as the cache
@@ -37,8 +42,6 @@ import pathlib
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig
-from repro.harness.runner import CaseRecord, KernelOutcome
-from repro.sim.telemetry import epoch_record_from_dict
 
 ENV_CACHE = "REPRO_CACHE"
 
@@ -49,7 +52,7 @@ ENV_CACHE = "REPRO_CACHE"
 #: including this module itself, since the keying and record serialisation
 #: logic below decides what a cached entry means.
 _SALTED = ("config.py", "isa", "kernels", "sim", "qos", "baselines",
-           "controllers", "sharing", "power", "osched", "serve",
+           "controllers", "sharing", "power", "serve",
            "harness/runner.py", "harness/cache.py", "harness/expdb.py")
 
 _code_salt_memo: Optional[str] = None
@@ -208,17 +211,10 @@ def experiment_id_for(spec_hash: str) -> str:
 
 # ------------------------------------------------------------ serialisation
 
-def record_to_dict(record: CaseRecord) -> dict:
+def record_to_dict(record) -> dict:
+    """A :class:`~repro.harness.runner.CaseRecord` as the plain dict the
+    store holds (inverse: :func:`repro.harness.runner.record_from_dict`)."""
     return dataclasses.asdict(record)
-
-
-def record_from_dict(data: dict) -> CaseRecord:
-    kernels = tuple(KernelOutcome(**outcome) for outcome in data["kernels"])
-    telemetry = tuple(epoch_record_from_dict(entry)
-                      for entry in data.get("telemetry", ()))
-    rest = {key: value for key, value in data.items()
-            if key not in ("kernels", "telemetry")}
-    return CaseRecord(kernels=kernels, telemetry=telemetry, **rest)
 
 
 # -------------------------------------------------------------------- store
@@ -264,16 +260,18 @@ class CaseCache:
 
     # ------------------------------------------------------------- records
 
-    def get_case(self, key: str) -> Optional[CaseRecord]:
+    def get_case(self, key: str) -> Optional[dict]:
+        """Cached co-run record (plain dict: :func:`record_to_dict` of a
+        :class:`~repro.harness.runner.CaseRecord`)."""
         entry = self._entries.get(key)
         if entry is None or entry.get("kind") != "case":
             self.misses += 1
             return None
         self.hits += 1
-        return record_from_dict(entry["value"])
+        return entry["value"]
 
-    def put_case(self, key: str, record: CaseRecord) -> None:
-        self._append(key, "case", record_to_dict(record))
+    def put_case(self, key: str, value: dict) -> None:
+        self._append(key, "case", value)
 
     def get_isolated(self, key: str) -> Optional[float]:
         entry = self._entries.get(key)

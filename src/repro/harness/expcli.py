@@ -128,7 +128,16 @@ def _show_command(db, experiment_id: str) -> int:
 
 
 def _spec_label(payload: dict) -> str:
-    """One-line human label for a stored CaseSpec payload."""
+    """One-line human label for a stored spec payload: a co-run
+    ``CaseSpec`` (QoS kernels starred with their goal) or a serving
+    ``ServeSpec`` (arrival process with its load parameters, seed, horizon
+    and admission policy)."""
+    if "process" in payload:
+        params = ", ".join(f"{name}={value:g}"
+                           for name, value in sorted(payload["params"].items()))
+        return (f"{payload['process']}({params}) seed={payload['seed']} "
+                f"horizon={payload['horizon_cycles']} "
+                f"admission={payload['admission']} [{payload['policy']}]")
     parts = []
     for name, qos, goal in zip(payload.get("names", ()),
                                payload.get("qos", ()),

@@ -39,7 +39,7 @@ from repro.power import PowerModel
 from repro.qos import QoSPolicy
 from repro.sharing import FairSMKPolicy, SerialPolicy
 from repro.sim import GPUSimulator, LaunchedKernel, SharingPolicy
-from repro.sim.telemetry import EpochRecord
+from repro.sim.telemetry import EpochRecord, epoch_record_from_dict
 
 #: Scheme/controller names accepted by :meth:`CaseRunner.run_case`.  The
 #: ``pid`` and ``mpc`` entries run the paper's quota machinery under the
@@ -209,6 +209,17 @@ class CaseRecord:
     @property
     def total_ipc(self) -> float:
         return sum(k.ipc for k in self.kernels)
+
+
+def record_from_dict(data: dict) -> CaseRecord:
+    """Rebuild a :class:`CaseRecord` from its stored form (inverse of
+    :func:`repro.harness.cache.record_to_dict`)."""
+    kernels = tuple(KernelOutcome(**outcome) for outcome in data["kernels"])
+    telemetry = tuple(epoch_record_from_dict(entry)
+                      for entry in data.get("telemetry", ()))
+    rest = {key: value for key, value in data.items()
+            if key not in ("kernels", "telemetry")}
+    return CaseRecord(kernels=kernels, telemetry=telemetry, **rest)
 
 
 ENV_WORKERS = "REPRO_WORKERS"
@@ -645,10 +656,12 @@ class CaseRunner(SweepRunner):
                         self.warmup_cycles, telemetry=self.telemetry)
 
     def _cache_get(self, key: str) -> Optional[CaseRecord]:
-        return self.cache.get_case(key)
+        value = self.cache.get_case(key)
+        return None if value is None else record_from_dict(value)
 
     def _cache_put(self, key: str, record: CaseRecord) -> None:
-        self.cache.put_case(key, record)
+        from repro.harness.cache import record_to_dict
+        self.cache.put_case(key, record_to_dict(record))
 
     def _grid(self, payloads: List[dict]) -> dict:
         from repro.harness.cache import sweep_grid_payload

@@ -7,6 +7,9 @@ the cycle domain, :mod:`repro.serve.dispatcher` queues them, applies
 admission control and drives the engine's mid-run launch/retire path, and
 :mod:`repro.serve.metrics` scores the per-request outcomes (latency
 percentiles, SLO attainment) and round-trips them as JSONL.
+:mod:`repro.serve.predictor` learns per-class service demand online (the
+Section 3.2 assumption that job sizes are predictable, as in Baymax) for
+SLO-feasibility admission.
 
 Harness integration (memoised runs, cached and resumable load sweeps)
 lives in :mod:`repro.serve.runner`; the ``repro serve`` command in

@@ -16,7 +16,7 @@ Admission policies:
 * :class:`QueueCap` — reject when the request's class queue is at its cap
   (classic load shedding; the rejection accounting feeds SLO attainment).
 * :class:`SLOFeasibility` — learn per-class service times online with
-  :class:`repro.osched.predictor.OnlineDemandPredictor` and reject
+  :class:`repro.serve.predictor.OnlineDemandPredictor` and reject
   requests whose predicted completion would blow their SLO anyway
   (admitting them only wastes capacity that feasible requests need).
 
@@ -34,9 +34,9 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig
 from repro.kernels import get_kernel
-from repro.osched.predictor import OnlineDemandPredictor
 from repro.serve.arrivals import Request
 from repro.serve.metrics import RequestRecord, class_summary
+from repro.serve.predictor import OnlineDemandPredictor
 from repro.sim.engine import GPUSimulator, LaunchedKernel, SharingPolicy
 from repro.sim.stats import SimulationResult
 from repro.sim.telemetry import EpochRecord, TelemetryRecorder
@@ -85,7 +85,7 @@ class SLOFeasibility(AdmissionPolicy):
     """Reject requests whose SLO is already infeasible at arrival.
 
     Service times are learned online per class (EWMA mean + mean absolute
-    deviation, :class:`~repro.osched.predictor.OnlineDemandPredictor`); a
+    deviation, :class:`~repro.serve.predictor.OnlineDemandPredictor`); a
     request is shed when the backlog's predicted drain time plus its own
     margin-padded service estimate exceeds its SLO.  Until the predictor
     has warmed up for a class, requests are admitted optimistically — the

@@ -15,6 +15,11 @@ actuation façade — and steers TB residency targets that the engine realises
 through dispatch and preemption.  An optional
 :class:`~repro.sim.telemetry.TelemetryRecorder` turns every epoch into a
 typed :class:`~repro.sim.telemetry.EpochRecord`.
+
+:class:`GPUSimulator` and :class:`LaunchedKernel` load on first use, so
+importing a policy package (which imports :mod:`repro.sim.policy`) does not
+load the engine: the run-time form of the ``policy-engine-independence``
+import contract.
 """
 
 from repro.sim.cache import Cache
@@ -26,7 +31,6 @@ from repro.sim.stats import KernelStats, SimulationResult
 from repro.sim.policy import EpochView, PolicyContext, SharingPolicy
 from repro.sim.telemetry import (EpochRecord, KernelEpochRecord, TBMove,
                                  TelemetryRecorder)
-from repro.sim.engine import GPUSimulator, LaunchedKernel
 
 __all__ = [
     "Cache",
@@ -50,3 +54,12 @@ __all__ = [
     "GPUSimulator",
     "LaunchedKernel",
 ]
+
+
+def __getattr__(name):
+    """Import the engine on the first access to one of its two exports."""
+    if name not in ("GPUSimulator", "LaunchedKernel"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.sim.engine import GPUSimulator, LaunchedKernel
+    globals().update(GPUSimulator=GPUSimulator, LaunchedKernel=LaunchedKernel)
+    return globals()[name]

@@ -6,8 +6,8 @@ import pytest
 
 from repro.config import FAST_GPU
 from repro.harness.cache import (CaseCache, case_key, code_salt, isolated_key,
-                                 record_from_dict, record_to_dict, serve_key)
-from repro.harness.runner import CaseRunner
+                                 record_to_dict, serve_key)
+from repro.harness.runner import CaseRunner, record_from_dict
 
 CYCLES = 4000
 NAMES = ("sgemm", "lbm")
@@ -95,8 +95,8 @@ class TestStore:
     def test_put_get_survives_reopen(self, tmp_path):
         record = make_record()
         key = case_key(FAST_GPU, NAMES, FLAGS, GOALS, "rollover", CYCLES, 100)
-        CaseCache(tmp_path).put_case(key, record)
-        assert CaseCache(tmp_path).get_case(key) == record
+        CaseCache(tmp_path).put_case(key, record_to_dict(record))
+        assert record_from_dict(CaseCache(tmp_path).get_case(key)) == record
 
     def test_miss_returns_none_and_counts(self, tmp_path):
         cache = CaseCache(tmp_path)

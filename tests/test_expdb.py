@@ -393,6 +393,27 @@ class TestExpCli:
         assert main(["exp", "list"]) == 0
         assert "exp-" in capsys.readouterr().out
 
+    def test_diff_names_serving_specs(self, store_env, capsys):
+        from repro.harness.expcli import main
+        ids = []
+        for loads in ((2500.0, 1500.0), (1500.0, 1000.0)):
+            runner = ServeRunner(
+                FAST_GPU, cache=CaseCache(store_env / "cache"),
+                expdb=ExperimentDB(store_env / "exp.sqlite"), workers=1)
+            runner.sweep([ServeSpec(
+                process="poisson",
+                params=(("mean_interarrival_cycles", load),),
+                classes=(("rt", "mri-q", 8000, 1, 1.0),),
+                seed=0, horizon_cycles=6000) for load in loads])
+            ids.append(runner.experiment_log[0][0])
+        assert main(["show", "--diff", *ids]) == 0
+        out = capsys.readouterr().out
+        assert "1 shared, 1 only in A, 1 only in B" in out
+        assert ("only A:   poisson(mean_interarrival_cycles=2500) seed=0 "
+                "horizon=6000 admission=always [smk]") in out
+        assert ("only B:   poisson(mean_interarrival_cycles=1000) seed=0 "
+                "horizon=6000 admission=always [smk]") in out
+
 
 class TestExpDiff:
     @pytest.fixture

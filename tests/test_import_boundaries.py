@@ -2,11 +2,12 @@
 
 LAY001 checks the import contracts on the source's import statements.
 These tests check what a fresh interpreter actually loads: the lint path
-loads only ``repro.analysis``, the experiment store, the serving runner
-and the engine none of the packages their contracts forbid, and the case
-runner none of the figure drivers.  They also pin the lazy exports of
-``repro`` and ``repro.harness`` (PEP 562 ``__getattr__``) to the objects
-of the modules they come from.
+loads only ``repro.analysis``; the experiment store, the serving runner,
+the engine and the policy packages none of the packages their contracts
+forbid; the case store and the commands that read the stores no
+simulator; and the case runner none of the figure drivers.  They also pin
+the lazy exports of ``repro`` and ``repro.harness`` (PEP 562
+``__getattr__``) to the objects of the modules they come from.
 """
 
 import importlib
@@ -58,7 +59,8 @@ class TestRunTimeBoundaries:
                 and not under(module, ["repro.analysis"])] == []
 
     @pytest.mark.parametrize("module", [
-        "repro.harness.expdb", "repro.serve.runner", "repro.sim.engine"])
+        "repro.harness.expdb", "repro.serve.runner", "repro.sim.engine",
+        "repro.qos"])
     def test_module_loads_nothing_its_contracts_forbid(self, module):
         forbidden = [package for contract in IMPORT_CONTRACTS
                      if under(module, contract.packages)
@@ -66,6 +68,21 @@ class TestRunTimeBoundaries:
         loaded = loaded_modules(f"import {module}\n")
         assert module in loaded and forbidden
         assert [name for name in loaded if under(name, forbidden)] == []
+
+    @pytest.mark.parametrize("script", [
+        "import repro.harness.cache\n",
+        "from repro.cli import main\nassert main(['exp', 'list']) == 0\n",
+        "from repro.cli import main\nassert main(['cache', 'stats']) == 0\n",
+    ], ids=["import repro.harness.cache", "repro exp list",
+            "repro cache stats"])
+    def test_store_access_loads_no_simulator(self, script, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setenv("REPRO_EXPDB", str(tmp_path / "exp.sqlite"))
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
+        loaded = loaded_modules(script)
+        assert "repro.harness.cache" in loaded
+        assert [module for module in loaded if under(
+            module, ["repro.sim", "repro.harness.runner"])] == []
 
     def test_case_runner_loads_no_figure_driver(self):
         loaded = loaded_modules("import repro.harness.runner\n")

@@ -5,6 +5,8 @@ Covers the subsystem's determinism contract end to end:
 * arrival processes are deterministic per seed and emit ordered streams;
 * the dispatcher launches FIFO within a class, honours admission policies,
   and accounts every rejection;
+* the online demand predictor behind SLO-feasibility admission learns a
+  per-class mean and deviation;
 * request records round-trip strictly through the JSONL schema;
 * the serving runner's sweeps are byte-identical across serial and
   parallel execution and across an interrupted-then-resumed experiment;
@@ -24,6 +26,7 @@ from repro.serve import (Dispatcher, PeriodicArrivals, PoissonArrivals,
                          QueueCap, RequestClass, read_request_trace,
                          request_record_to_dict, trace_arrivals,
                          validate_request_dict, write_request_trace)
+from repro.serve.predictor import OnlineDemandPredictor
 from repro.serve.runner import ServeRunner, ServeSpec
 
 GPU = GPUConfig(num_sms=2, num_mcs=1, epoch_length=600, idle_warp_samples=6,
@@ -188,6 +191,57 @@ class TestDispatcher:
                   if r.arrival_cycle == 0 and r.start_cycle is not None}
         assert set(starts) == {"rt", "bg"}
         assert starts["bg"] < starts["rt"]
+
+
+# ----------------------------------------------------------------- predictor
+
+
+class TestOnlineDemandPredictor:
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError):
+            OnlineDemandPredictor(alpha=0.0)
+        with pytest.raises(ValueError):
+            OnlineDemandPredictor(warmup_samples=0)
+
+    def test_observe_and_estimate(self):
+        predictor = OnlineDemandPredictor(alpha=0.5)
+        for value in (100, 110, 90, 105):
+            predictor.observe("app", value)
+        estimate = predictor.estimate("app")
+        assert 90 <= estimate.mean <= 110
+        assert estimate.samples == 4
+
+    def test_margin_covers_variance(self):
+        predictor = OnlineDemandPredictor(alpha=0.5)
+        for value in (100, 200, 100, 200, 100, 200):
+            predictor.observe("noisy", value)
+        estimate = predictor.estimate("noisy")
+        assert estimate.with_margin(2.0) > estimate.mean
+        assert estimate.with_margin(2.0) >= 180  # covers the high tail
+
+    def test_stable_workload_predicts_tightly(self):
+        predictor = OnlineDemandPredictor()
+        for _ in range(10):
+            predictor.observe("stable", 1000.0)
+        estimate = predictor.estimate("stable")
+        assert estimate.mean == pytest.approx(1000.0)
+        assert estimate.deviation == pytest.approx(0.0)
+
+    def test_readiness_after_warmup(self):
+        predictor = OnlineDemandPredictor(warmup_samples=3)
+        predictor.observe("app", 10)
+        assert not predictor.ready("app")
+        predictor.observe("app", 10)
+        predictor.observe("app", 10)
+        assert predictor.ready("app")
+
+    def test_unknown_app(self):
+        with pytest.raises(KeyError):
+            OnlineDemandPredictor().estimate("ghost")
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            OnlineDemandPredictor().observe("app", -1)
 
 
 # ------------------------------------------------------------------- metrics
@@ -397,19 +451,18 @@ class TestServePolicies:
 
 
 class TestServeSalt:
-    def test_serve_and_osched_are_salted(self):
+    def test_serve_and_its_predictor_are_salted(self):
         """SALT001 regression: serving results are cached (kind ``serve``),
-        so the serving layer and the osched predictor it admits with must
-        sit inside the code salt — editing either has to invalidate cached
-        serving outcomes."""
+        so the serving layer, the demand predictor it admits with included,
+        must sit inside the code salt — editing any of it has to invalidate
+        cached serving outcomes."""
         from repro.harness.cache import _SALTED, salted_paths
 
         assert "serve" in _SALTED
-        assert "osched" in _SALTED
         paths = salted_paths()
         for module in ("serve/arrivals.py", "serve/dispatcher.py",
-                       "serve/metrics.py", "serve/runner.py",
-                       "osched/predictor.py"):
+                       "serve/metrics.py", "serve/predictor.py",
+                       "serve/runner.py"):
             assert module in paths
 
     def test_serve_runner_is_a_salt_closure_root(self):
