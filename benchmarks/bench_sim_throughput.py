@@ -21,14 +21,22 @@ Measures, on the current machine:
 4. Sweep wall-clock for a fast-preset Figure 6 slice three ways: serial
    ``CaseRunner``, parallel ``ParallelCaseRunner``, and a warm-cache rerun
    (persistent case cache pre-populated by the parallel pass).
+5. Memory a served sweep keeps: eight short serving specs served one
+   after another in this process through one ``ServeRunner`` with the
+   cyclic garbage collector off, reporting the traced memory (tracemalloc)
+   each case leaves behind and the ``GPUSimulator`` objects still alive
+   after the sweep.  A finished simulation must be freed by reference
+   counting alone, so that count must be 0.
 
 Run standalone — it is a script, not a pytest benchmark::
 
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py
 
-``--quick`` runs only the engine timings and hotspot table at reduced
-cycle counts and never writes results; CI uses it as a smoke test that the
-bench harness itself works (no timing assertions).
+``--quick`` runs only the engine timings, the hotspot table and the
+served sweep at reduced cycle counts and never writes results; CI uses it
+as a smoke test that the bench harness itself works (no timing
+assertions).  Either mode exits 1 when a simulator outlives the served
+sweep.
 
 The report is printed and written to ``benchmarks/results/
 bench_sim_throughput.txt``; the engine timings are additionally written
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import os
 import pathlib
@@ -50,6 +59,7 @@ import platform
 import pstats
 import tempfile
 import time
+import tracemalloc
 
 from repro.config import FAST_GPU, KB, LatencyConfig, MemoryConfig, SMConfig
 from repro.harness.cache import (CaseCache, code_salt, experiment_id_for,
@@ -60,6 +70,7 @@ from repro.kernels import get_kernel
 from repro.kernels.spec import InstructionMix, KernelSpec, MemoryPattern
 from repro.kernels.synthetic import streaming_kernel
 from repro.qos import QoSPolicy
+from repro.serve.runner import ServeRunner, ServeSpec
 from repro.sim import GPUSimulator, LaunchedKernel, TelemetryRecorder
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "bench_sim_throughput.txt"
@@ -235,8 +246,49 @@ def sweep_timings(cycles: int, workers: int) -> list:
     return rows
 
 
-def format_report(engine_rows, hotspot_rows, telemetry_rows, sweep_rows,
-                  cycles, workers) -> str:
+def served_specs(horizon: int) -> list:
+    """Eight short serving cases: four Poisson loads, two seeds each."""
+    classes = (("rt", "mri-q", 8000, 4, 1.0), ("bg", "sad", 16000, 4, 1.0))
+    return [ServeSpec(process="poisson",
+                      params=(("mean_interarrival_cycles", float(load)),),
+                      classes=classes, seed=seed, horizon_cycles=horizon)
+            for load in (4000, 3000, 2000, 1500)
+            for seed in (0, 1)]
+
+
+def served_sweep(horizon: int) -> dict:
+    """Serve :func:`served_specs` in this process with the cyclic collector
+    off; report the traced memory each case keeps and the simulators still
+    alive afterwards (0 when every finished machine freed itself)."""
+    specs = served_specs(horizon)
+    runner = ServeRunner(FAST_GPU)
+    rows = []
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for spec in specs:
+            before = tracemalloc.get_traced_memory()[0]
+            outcome = runner.run_spec(spec)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            rows.append({
+                "load": spec.params[0][1],
+                "seed": spec.seed,
+                "generated": outcome.generated,
+                "completed": outcome.completed,
+                "kept_kib": round(kept / 1024, 1),
+            })
+        alive = sum(1 for obj in gc.get_objects()
+                    if isinstance(obj, GPUSimulator))
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return {"horizon_cycles": horizon, "cases": rows,
+            "machines_alive": alive}
+
+
+def format_report(engine_rows, hotspot_rows, telemetry_rows, served,
+                  sweep_rows, cycles, workers) -> str:
     lines = []
     lines.append("simulator throughput microbenchmark")
     lines.append("=" * 35)
@@ -259,6 +311,18 @@ def format_report(engine_rows, hotspot_rows, telemetry_rows, sweep_rows,
     lines.append(f"{'workload':<28}{'off s':>9}{'on s':>9}{'overhead':>10}")
     for label, off, on, overhead in telemetry_rows:
         lines.append(f"{label:<28}{off:>9.3f}{on:>9.3f}{overhead:>9.1f}%")
+    lines.append("")
+    lines.append(f"served sweep ({len(served['cases'])} specs, "
+                 f"{served['horizon_cycles']} cycles each, one process, "
+                 "cyclic collector off)")
+    lines.append(f"{'mean interarrival':<20}{'seed':>5}{'served':>11}"
+                 f"{'KiB kept':>11}")
+    for row in served["cases"]:
+        served_text = f"{row['completed']}/{row['generated']}"
+        lines.append(f"{row['load']:<20.0f}{row['seed']:>5}"
+                     f"{served_text:>11}{row['kept_kib']:>11.1f}")
+    lines.append(f"GPUSimulator objects alive after the sweep: "
+                 f"{served['machines_alive']}")
     if sweep_rows is not None:
         lines.append("")
         cases = len(sweep_cases())
@@ -278,8 +342,9 @@ def format_report(engine_rows, hotspot_rows, telemetry_rows, sweep_rows,
     return "\n".join(lines) + "\n"
 
 
-def json_report(engine_rows, cycles: int, workers: int) -> dict:
-    """The machine-readable engine timings (diffable across commits)."""
+def json_report(engine_rows, served, cycles: int, workers: int) -> dict:
+    """The machine-readable engine timings and served-sweep memory
+    (diffable across commits)."""
     return {
         "bench": "sim_throughput",
         "cycles": cycles,
@@ -287,6 +352,7 @@ def json_report(engine_rows, cycles: int, workers: int) -> dict:
         "python": platform.python_version(),
         "code_salt": code_salt(),
         "shapes": engine_rows,
+        "served_sweep": served,
         "sweep_experiment": sweep_experiment_identity(cycles),
     }
 
@@ -305,8 +371,9 @@ def main() -> int:
                         help="pool width (default: REPRO_WORKERS or "
                              "cpu_count-1)")
     parser.add_argument("--quick", action="store_true",
-                        help="engine timings + hotspots only, at reduced "
-                             "cycles; implies --no-save (CI smoke mode)")
+                        help="engine timings, hotspots and the served "
+                             "sweep only, at reduced cycles; implies "
+                             "--no-save (CI smoke mode)")
     parser.add_argument("--no-save", action="store_true",
                         help="print only; do not update benchmarks/results/")
     parser.add_argument("--json", default=None, metavar="PATH",
@@ -319,20 +386,23 @@ def main() -> int:
     if args.quick:
         cycles = min(args.cycles, 6000)
         engine_rows = engine_throughput(cycles, repeats=1)
+        served = served_sweep(2 * cycles)
         report = format_report(engine_rows,
                                hotspot_table(cycles),
                                telemetry_overhead(cycles, repeats=1),
-                               None, cycles, workers)
+                               served, None, cycles, workers)
         print(report, end="")
         if args.json:
-            _write_json(json_report(engine_rows, cycles, workers),
+            _write_json(json_report(engine_rows, served, cycles, workers),
                         pathlib.Path(args.json))
-        return 0
+        return 1 if served["machines_alive"] else 0
 
     engine_rows = engine_throughput(args.cycles)
+    served = served_sweep(2 * args.cycles)
     report = format_report(engine_rows,
                            hotspot_table(args.cycles),
                            telemetry_overhead(args.cycles),
+                           served,
                            sweep_timings(args.cycles, workers),
                            args.cycles, workers)
     print(report, end="")
@@ -341,9 +411,9 @@ def main() -> int:
         RESULTS_PATH.write_text(report)
         print(f"[written to {RESULTS_PATH}]")
     if args.json or not args.no_save:
-        _write_json(json_report(engine_rows, args.cycles, workers),
+        _write_json(json_report(engine_rows, served, args.cycles, workers),
                     pathlib.Path(args.json) if args.json else JSON_PATH)
-    return 0
+    return 1 if served["machines_alive"] else 0
 
 
 if __name__ == "__main__":

@@ -34,6 +34,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.baselines import SpartPolicy
 from repro.config import GPUConfig
 from repro.controllers import CONTROLLER_NAMES, controller_by_name
+from repro.harness.cache import (case_key, code_salt, experiment_id_for,
+                                 experiment_spec_hash, isolated_key,
+                                 record_to_dict, sweep_grid_payload)
 from repro.kernels import get_kernel, intensity_class
 from repro.power import PowerModel
 from repro.qos import QoSPolicy
@@ -374,8 +377,6 @@ class SweepRunner:
         """Register the grid in the experiment store (idempotent: the same
         grid under the same code always maps to the same experiment id).
         An experiment the persistent store holds as done is only read."""
-        from repro.harness.cache import (code_salt, experiment_id_for,
-                                         experiment_spec_hash)
         from repro.harness.expdb import DONE, ExperimentDB
 
         payloads = [spec.payload() for spec in specs]
@@ -542,7 +543,6 @@ class CaseRunner(SweepRunner):
         if name not in self._isolated:
             cache_key = None
             if self.cache is not None:
-                from repro.harness.cache import isolated_key
                 cache_key = isolated_key(self.gpu, name, self.cycles,
                                          self.warmup_cycles)
                 cached = self.cache.get_isolated(cache_key)
@@ -650,7 +650,6 @@ class CaseRunner(SweepRunner):
     # ----------------------------------------------------- job protocol
 
     def _content_key(self, spec: CaseSpec) -> str:
-        from repro.harness.cache import case_key
         return case_key(self.gpu, spec.names, spec.qos_flags,
                         spec.goal_fractions, spec.policy, self.cycles,
                         self.warmup_cycles, telemetry=self.telemetry)
@@ -660,11 +659,9 @@ class CaseRunner(SweepRunner):
         return None if value is None else record_from_dict(value)
 
     def _cache_put(self, key: str, record: CaseRecord) -> None:
-        from repro.harness.cache import record_to_dict
         self.cache.put_case(key, record_to_dict(record))
 
     def _grid(self, payloads: List[dict]) -> dict:
-        from repro.harness.cache import sweep_grid_payload
         return sweep_grid_payload(self.gpu, self.cycles, self.warmup_cycles,
                                   self.telemetry, payloads)
 
@@ -684,7 +681,6 @@ class CaseRunner(SweepRunner):
         rerun re-simulates them even with the case cache disabled; the rest
         come from the cache or are simulated, on the pool when there is
         one, and are stored with the experiment."""
-        from repro.harness.cache import isolated_key
 
         def key(name: str) -> str:
             return isolated_key(self.gpu, name, self.cycles,

@@ -19,6 +19,18 @@ from repro.kernels.spec import KernelSpec
 
 _DIVERGED_LANE_CHOICES = (8, 16, 24)
 
+#: Every instruction a pattern can hold, keyed by (opcode, active lanes,
+#: dependent).  Instructions are frozen and there are only 6 x 4 x 2 of
+#: them, so all patterns share these objects and a launch costs one tuple
+#: of references, not one object per slot.
+_INSTRUCTIONS = {
+    (op, lanes, dependent): WarpInstruction(op, active_lanes=lanes,
+                                            dependent=dependent)
+    for op in Opcode
+    for lanes in _DIVERGED_LANE_CHOICES + (32,)
+    for dependent in (False, True)
+}
+
 
 def _opcode_counts(spec: KernelSpec) -> dict:
     """Integer opcode counts for one loop body, matching the mix exactly.
@@ -73,10 +85,10 @@ def build_pattern(spec: KernelSpec) -> Tuple[WarpInstruction, ...]:
         lanes = 32
         if spec.divergence and rng.random() < spec.divergence:
             lanes = rng.choice(_DIVERGED_LANE_CHOICES)
-        body.append(WarpInstruction(op, active_lanes=lanes, dependent=dependent))
+        body.append(_INSTRUCTIONS[op, lanes, dependent])
 
     if spec.mix.barrier_per_iteration:
-        body.append(WarpInstruction(Opcode.BAR, active_lanes=32, dependent=True))
+        body.append(_INSTRUCTIONS[Opcode.BAR, 32, True])
     return tuple(body)
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig
+from repro.harness.cache import serve_grid_payload, serve_key
 from repro.harness.runner import SweepRunner, make_policy, resolve_workers
 from repro.serve.arrivals import (ArrivalProcess, BurstyArrivals,
                                   DiurnalArrivals, PeriodicArrivals,
@@ -244,7 +245,6 @@ class ServeRunner(SweepRunner):
     # ----------------------------------------------------- job protocol
 
     def _content_key(self, spec: ServeSpec) -> str:
-        from repro.harness.cache import serve_key
         return serve_key(self.gpu, spec.payload())
 
     def _cache_get(self, key: str) -> Optional[ServeCaseOutcome]:
@@ -255,7 +255,6 @@ class ServeRunner(SweepRunner):
         self.cache.put_serve(key, outcome.to_value())
 
     def _grid(self, payloads: List[dict]) -> dict:
-        from repro.harness.cache import serve_grid_payload
         return serve_grid_payload(self.gpu, payloads)
 
     def _pool_worker(self) -> "ServeRunner":

@@ -21,6 +21,7 @@ by default.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -91,9 +92,15 @@ class GPUSimulator:
         ]
         self.kernel_stats = [KernelStats() for _ in kernels]
         self.preemption = PreemptionEngine(config.preemption)
+        # The SMs' callbacks and the policy context reach the engine
+        # through a weak proxy, so the machine holds no reference cycle
+        # and a finished simulation is freed by reference counting.
+        engine = weakref.proxy(self)
         self.sms: List[SM] = [
             SM(sm_id, config, self.runtimes, self.memory, self.kernel_stats,
-               self._on_quota_exhausted, self._on_tb_finished)
+               lambda sm, kernel_idx, cycle:
+                   engine._on_quota_exhausted(sm, kernel_idx, cycle),
+               lambda sm, tb, cycle: engine._on_tb_finished(sm, tb, cycle))
             for sm_id in range(config.num_sms)
         ]
         self.tb_targets: List[List[int]] = [
@@ -230,9 +237,12 @@ class GPUSimulator:
 
         The kernel keeps its index (results and telemetry stay addressable)
         but stops participating: targets are zeroed, dispatch skips it, and
-        the per-request bookkeeping reads ``kernel_finish_cycle``.
+        the per-request bookkeeping reads ``kernel_finish_cycle``.  No warp
+        of it can issue again, so its :class:`KernelRuntime` (the decoded
+        program) is released.
         """
         self.kernel_active[kernel_idx] = False
+        self.runtimes[kernel_idx] = None
         self.kernel_finish_cycle[kernel_idx] = cycle
         for targets in self.tb_targets:
             targets[kernel_idx] = 0

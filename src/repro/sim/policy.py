@@ -25,6 +25,7 @@ module* never imports the engine).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -102,10 +103,14 @@ class PolicyContext:
     funnel through the same engine entry points the hardware proposal
     exposes, so a policy written against this class cannot depend on
     simulator internals.
+
+    The context holds a ``weakref.proxy`` of its engine, so the two form
+    no reference cycle.  A context kept after its engine is freed raises
+    ``ReferenceError`` on any read of machine state.
     """
 
     def __init__(self, engine) -> None:
-        self._engine = engine
+        self._engine = weakref.proxy(engine)
         self.config = engine.config
         self.num_sms = engine.config.num_sms
         self._last_retired: List[int] = [0] * engine.num_kernels
@@ -214,7 +219,7 @@ class PolicyContext:
         return self._engine.sms[sm_id].idle_samples
 
     def warps_per_tb(self, kernel_idx: int) -> int:
-        return self._engine.runtimes[kernel_idx].warps_per_tb
+        return self._engine.kernels[kernel_idx].spec.warps_per_tb
 
     def can_admit(self, sm_id: int, kernel_idx: int) -> bool:
         """Whether the SM's free resources fit one more TB of the kernel."""

@@ -20,15 +20,19 @@ is insertion order: GTO's "oldest" order and LRR's rotation order.
 Schedulers keep a ``sleep_until`` cycle: when selection finds nothing ready
 the earliest wake-up among eligible warps is cached so stalled schedulers
 cost one comparison per cycle (``SM.step`` makes it before calling
-``select``).  Any event that can create readiness out of band — TB
-dispatch, barrier release, quota refresh, unfreeze — must call ``wake()``.
+``select``).  ``add_warp`` and ``remove_warp`` reset it to 0; barrier
+release and quota refresh reset every scheduler of the SM
+(``SM.wake_all``).
 
-``wake()`` invokes the optional ``notify`` callback when it lowers
-``sleep_until``, so the owning SM can reset its cached wake-up cycle to 0
-(the engine's per-SM sleep skipping and idle jumps read that cache instead
-of rescanning every scheduler of every SM each cycle).  Going to sleep
-notifies nobody: the SM recomputes its wake-up after every step, and a
-stale lower value only costs one extra step.
+A scheduler holds no reference to its SM.  The SM caches the minimum
+``sleep_until`` of its schedulers (``SM._wake_min``, which the engine's
+per-SM sleep skipping and idle jumps read instead of rescanning every
+scheduler each cycle), and it resets that cache itself: ``SM.dispatch_tb``
+and ``SM.remove_tb``, the only callers of ``add_warp`` and
+``remove_warp``, set it to 0 when the scheduler they hand a warp to or
+take one from was asleep.  Going to sleep resets nothing: the SM
+recomputes its wake-up after every step, and a stale lower value only
+costs one extra step.
 
 Both policies scan warps testing ``ready_at`` first: most warps a scan
 passes are stalled, and a stalled warp needs its state and quota checked
@@ -47,33 +51,26 @@ _NEVER = 1 << 62
 class GTOScheduler:
     """Greedy-then-oldest warp scheduler."""
 
-    __slots__ = ("warps", "last", "sleep_until", "notify")
+    __slots__ = ("warps", "last", "sleep_until")
 
-    def __init__(self, notify=None) -> None:
+    def __init__(self) -> None:
         self.warps: List[Warp] = []
         self.last: Optional[Warp] = None
         self.sleep_until = 0
-        self.notify = notify
 
     # --------------------------------------------------------------- hosting
 
     def add_warp(self, warp: Warp) -> None:
         warp.sched = self
         self.warps.append(warp)
-        self.wake()
+        self.sleep_until = 0
 
     def remove_warp(self, warp: Warp) -> None:
         self.warps.remove(warp)
         warp.sched = None
         if self.last is warp:
             self.last = None
-        self.wake()
-
-    def wake(self) -> None:
-        if self.sleep_until:
-            self.sleep_until = 0
-            if self.notify is not None:
-                self.notify()
+        self.sleep_until = 0
 
     # ------------------------------------------------------------- selection
 
@@ -112,8 +109,8 @@ class LRRScheduler(GTOScheduler):
 
     __slots__ = ("_next_index",)
 
-    def __init__(self, notify=None) -> None:
-        super().__init__(notify)
+    def __init__(self) -> None:
+        super().__init__()
         self._next_index = 0
 
     def select(self, cycle: int, quota_ok) -> Optional[Warp]:
@@ -144,10 +141,10 @@ class LRRScheduler(GTOScheduler):
 _POLICIES = {"gto": GTOScheduler, "lrr": LRRScheduler}
 
 
-def make_scheduler(policy: str, notify=None):
+def make_scheduler(policy: str):
     """Factory for the configured issue policy."""
     try:
         cls = _POLICIES[policy]
     except KeyError:
         raise ValueError(f"unknown scheduler policy {policy!r}") from None
-    return cls(notify)
+    return cls()

@@ -38,8 +38,7 @@ class SM:
         self.memory = memory
         self.kernel_stats = kernel_stats
         self.resources = SMResources(config.sm)
-        self.schedulers = [make_scheduler(config.scheduler_policy,
-                                          self._scheduler_woke)
+        self.schedulers = [make_scheduler(config.scheduler_policy)
                            for _ in range(config.sm.warp_schedulers)]
         self.tbs: List[ThreadBlock] = []
         num_kernels = len(runtimes)
@@ -50,8 +49,10 @@ class SM:
         self.live_tb_count = [0] * num_kernels
         #: Earliest cycle this SM may issue, for the engine's per-SM sleep
         #: skipping and idle jumps.  ``step`` stores it (0 after an issue,
-        #: else ``wake_hint()``) and any scheduler wake resets it to 0, so
-        #: it never exceeds the schedulers' true minimum ``sleep_until``.
+        #: else ``wake_hint()``); ``wake_all``, and ``dispatch_tb`` or
+        #: ``remove_tb`` when they wake a sleeping scheduler, reset it to
+        #: 0, so it never exceeds the schedulers' true minimum
+        #: ``sleep_until``.
         self._wake_min = 0
         # Enhanced Warp Scheduler state.  With quotas disabled the
         # all-True eligibility list makes this SM behave like stock hardware.
@@ -145,9 +146,6 @@ class SM:
 
     wake_all = _wake_schedulers
 
-    def _scheduler_woke(self) -> None:
-        self._wake_min = 0
-
     def wake_hint(self) -> int:
         """Earliest cycle at which any of this SM's schedulers may issue."""
         schedulers = self.schedulers
@@ -202,6 +200,8 @@ class SM:
             warp.ready_at = cycle + 1
             tb.warps.append(warp)
             scheduler = min(self.schedulers, key=lambda s: len(s.warps))
+            if scheduler.sleep_until:
+                self._wake_min = 0
             scheduler.add_warp(warp)
         self.tbs.append(tb)
         self.tb_count[kernel_idx] += 1
@@ -222,13 +222,21 @@ class SM:
         self.live_tb_count[tb.kernel_idx] -= 1
 
     def remove_tb(self, tb: ThreadBlock) -> None:
-        """Release a finished or fully saved TB's resources and warps."""
+        """Release a finished or fully saved TB's resources and warps.
+
+        The TB then drops its warp list, so neither it nor its warps sit
+        in a reference cycle: they are freed as soon as the last caller
+        lets go, not at the next garbage collection.
+        """
         for warp in tb.warps:
             # The back-reference set at add_warp replaces the old
             # O(schedulers x warps) membership probe per warp.
             scheduler = warp.sched
             if scheduler is not None:
+                if scheduler.sleep_until:
+                    self._wake_min = 0
                 scheduler.remove_warp(warp)
+        tb.warps = []
         self.tbs.remove(tb)
         self.tb_count[tb.kernel_idx] -= 1
         if not tb.evicting:

@@ -67,7 +67,11 @@ class SMResources:
 
 
 class ThreadBlock:
-    """One resident TB: its warps, barrier bookkeeping, lifecycle flags."""
+    """One resident TB: its warps, barrier bookkeeping, lifecycle flags.
+
+    ``SM.remove_tb`` empties ``warps`` when the TB leaves its SM, so the
+    TB and its warps (which keep ``warp.tb``) form no reference cycle.
+    """
 
     __slots__ = ("tb_id", "kernel_idx", "spec", "warps", "barrier_arrived",
                  "done_warps", "evicting", "dispatch_cycle")
