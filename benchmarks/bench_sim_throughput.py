@@ -24,9 +24,10 @@ Measures, on the current machine:
 5. Memory a served sweep keeps: eight short serving specs served one
    after another in this process through one ``ServeRunner`` with the
    cyclic garbage collector off, reporting the traced memory (tracemalloc)
-   each case leaves behind and the ``GPUSimulator`` objects still alive
-   after the sweep.  A finished simulation must be freed by reference
-   counting alone, so that count must be 0.
+   each case leaves behind and the ``GPUSimulator``, ``ThreadBlock``,
+   ``Warp`` and scheduler objects still alive after the sweep.  A finished
+   simulation, with whatever was resident when it ended, must be freed by
+   reference counting alone, so every count must be 0.
 
 Run standalone — it is a script, not a pytest benchmark::
 
@@ -35,8 +36,8 @@ Run standalone — it is a script, not a pytest benchmark::
 ``--quick`` runs only the engine timings, the hotspot table and the
 served sweep at reduced cycle counts and never writes results; CI uses it
 as a smoke test that the bench harness itself works (no timing
-assertions).  Either mode exits 1 when a simulator outlives the served
-sweep.
+assertions).  Either mode exits 1 when a simulator, thread block, warp
+or scheduler outlives the served sweep.
 
 The report is printed and written to ``benchmarks/results/
 bench_sim_throughput.txt``; the engine timings are additionally written
@@ -72,9 +73,16 @@ from repro.kernels.synthetic import streaming_kernel
 from repro.qos import QoSPolicy
 from repro.serve.runner import ServeRunner, ServeSpec
 from repro.sim import GPUSimulator, LaunchedKernel, TelemetryRecorder
+from repro.sim.scheduler import GTOScheduler, LRRScheduler
+from repro.sim.tb import ThreadBlock
+from repro.sim.warp import Warp
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "bench_sim_throughput.txt"
 JSON_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_sim_throughput.json"
+
+#: What a finished served case must not leave alive (LRRScheduler is
+#: counted apart from the GTOScheduler it subclasses).
+RUN_TYPES = (GPUSimulator, ThreadBlock, Warp, GTOScheduler, LRRScheduler)
 
 # A fast-preset Figure 6 slice: QoS goal sweep over three representative
 # pairs under the rollover scheme (plus spart for scheme diversity).
@@ -258,8 +266,9 @@ def served_specs(horizon: int) -> list:
 
 def served_sweep(horizon: int) -> dict:
     """Serve :func:`served_specs` in this process with the cyclic collector
-    off; report the traced memory each case keeps and the simulators still
-    alive afterwards (0 when every finished machine freed itself)."""
+    off; report the traced memory each case keeps and, by type, the
+    simulators, thread blocks, warps and schedulers still alive afterwards
+    (all 0 when every finished run freed itself)."""
     specs = served_specs(horizon)
     runner = ServeRunner(FAST_GPU)
     rows = []
@@ -278,13 +287,15 @@ def served_sweep(horizon: int) -> dict:
                 "completed": outcome.completed,
                 "kept_kib": round(kept / 1024, 1),
             })
-        alive = sum(1 for obj in gc.get_objects()
-                    if isinstance(obj, GPUSimulator))
+        alive = {cls.__name__: 0 for cls in RUN_TYPES}
+        for obj in gc.get_objects():
+            if isinstance(obj, RUN_TYPES):
+                alive[type(obj).__name__] += 1
     finally:
         tracemalloc.stop()
         gc.enable()
     return {"horizon_cycles": horizon, "cases": rows,
-            "machines_alive": alive}
+            "objects_alive": alive}
 
 
 def format_report(engine_rows, hotspot_rows, telemetry_rows, served,
@@ -321,8 +332,8 @@ def format_report(engine_rows, hotspot_rows, telemetry_rows, served,
         served_text = f"{row['completed']}/{row['generated']}"
         lines.append(f"{row['load']:<20.0f}{row['seed']:>5}"
                      f"{served_text:>11}{row['kept_kib']:>11.1f}")
-    lines.append(f"GPUSimulator objects alive after the sweep: "
-                 f"{served['machines_alive']}")
+    lines.append("objects alive after the sweep: " + ", ".join(
+        f"{name} {count}" for name, count in served["objects_alive"].items()))
     if sweep_rows is not None:
         lines.append("")
         cases = len(sweep_cases())
@@ -395,7 +406,7 @@ def main() -> int:
         if args.json:
             _write_json(json_report(engine_rows, served, cycles, workers),
                         pathlib.Path(args.json))
-        return 1 if served["machines_alive"] else 0
+        return 1 if any(served["objects_alive"].values()) else 0
 
     engine_rows = engine_throughput(args.cycles)
     served = served_sweep(2 * args.cycles)
@@ -413,7 +424,7 @@ def main() -> int:
     if args.json or not args.no_save:
         _write_json(json_report(engine_rows, served, args.cycles, workers),
                     pathlib.Path(args.json) if args.json else JSON_PATH)
-    return 1 if served["machines_alive"] else 0
+    return 1 if any(served["objects_alive"].values()) else 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,10 @@ cost one comparison per cycle (``SM.step`` makes it before calling
 release and quota refresh reset every scheduler of the SM
 (``SM.wake_all``).
 
-A scheduler holds no reference to its SM.  The SM caches the minimum
+A scheduler holds no reference to its SM, and its warps none to it: a
+warp knows its scheduler only as an index into ``SM.schedulers``
+(``warp.sched``, set by ``SM.dispatch_tb``), so ``add_warp`` and
+``remove_warp`` never write to the warp.  The SM caches the minimum
 ``sleep_until`` of its schedulers (``SM._wake_min``, which the engine's
 per-SM sleep skipping and idle jumps read instead of rescanning every
 scheduler each cycle), and it resets that cache itself: ``SM.dispatch_tb``
@@ -61,13 +64,11 @@ class GTOScheduler:
     # --------------------------------------------------------------- hosting
 
     def add_warp(self, warp: Warp) -> None:
-        warp.sched = self
         self.warps.append(warp)
         self.sleep_until = 0
 
     def remove_warp(self, warp: Warp) -> None:
         self.warps.remove(warp)
-        warp.sched = None
         if self.last is warp:
             self.last = None
         self.sleep_until = 0

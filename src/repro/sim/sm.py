@@ -90,7 +90,10 @@ class SM:
             runtime = runtimes[kernel_idx]
             pc = warp.pc
             kind, lanes, delay = runtime.decoded[pc % runtime.pattern_length]
-            barrier_released = False
+            # The TB a barrier just released, held here until its release
+            # loop below has run: the releasing warp may retire, finish
+            # the TB and remove it first, and warps hold their TB weakly.
+            released_tb = None
             if kind == FIXED:
                 warp.ready_at = cycle + delay
             elif kind == LOAD:
@@ -103,7 +106,9 @@ class SM:
                                         cycle)
                 warp.ready_at = cycle + delay
             else:  # BARRIER
-                barrier_released = warp.tb.arrive_barrier(warp, cycle)
+                tb = warp.tb()
+                if tb.arrive_barrier(warp, cycle):
+                    released_tb = tb
 
             self.kernel_stats[kernel_idx].retired_thread_insts += lanes
             pc += 1
@@ -111,12 +116,12 @@ class SM:
             length = runtime.program_length
             if pc >= length and warp.state != WarpState.AT_BARRIER:
                 self._retire_warp(warp, cycle)
-            if barrier_released:
+            if released_tb is not None:
                 # Peers released by this barrier advanced their pc when
                 # they issued the BAR; if that was their last instruction
                 # they retire now instead of re-entering the scheduler.
                 self._wake_schedulers()
-                for peer in warp.tb.warps:
+                for peer in released_tb.warps:
                     if peer.state == WarpState.RUNNING and peer.pc >= length:
                         self._retire_warp(peer, cycle)
 
@@ -134,7 +139,7 @@ class SM:
 
     def _retire_warp(self, warp: Warp, cycle: int) -> None:
         warp.state = WarpState.DONE
-        tb = warp.tb
+        tb = warp.tb()
         tb.done_warps += 1
         if tb.finished and not tb.evicting:
             self._on_tb_finished(self, tb, cycle)
@@ -193,13 +198,18 @@ class SM:
         spec = runtime.spec
         self.resources.admit(spec)
         tb = ThreadBlock(tb_id, kernel_idx, spec, cycle)
+        schedulers = self.schedulers
         for warp_id in range(runtime.warps_per_tb):
             warp = Warp(kernel_idx, tb, warp_id,
                         seed=runtime.warp_seed(tb_id, warp_id),
                         start_cursor=runtime.start_cursor(tb_id, warp_id))
             warp.ready_at = cycle + 1
             tb.warps.append(warp)
-            scheduler = min(self.schedulers, key=lambda s: len(s.warps))
+            # The least loaded scheduler; the first of equals wins.
+            index = min(range(len(schedulers)),
+                        key=lambda i: len(schedulers[i].warps))
+            warp.sched = index
+            scheduler = schedulers[index]
             if scheduler.sleep_until:
                 self._wake_min = 0
             scheduler.add_warp(warp)
@@ -224,19 +234,18 @@ class SM:
     def remove_tb(self, tb: ThreadBlock) -> None:
         """Release a finished or fully saved TB's resources and warps.
 
-        The TB then drops its warp list, so neither it nor its warps sit
-        in a reference cycle: they are freed as soon as the last caller
-        lets go, not at the next garbage collection.
+        The TB and its warps form no reference cycle (warps hold their TB
+        weakly), so they are freed as soon as the last caller lets go of
+        the TB, not at the next garbage collection.
         """
+        schedulers = self.schedulers
         for warp in tb.warps:
-            # The back-reference set at add_warp replaces the old
-            # O(schedulers x warps) membership probe per warp.
-            scheduler = warp.sched
-            if scheduler is not None:
-                if scheduler.sleep_until:
-                    self._wake_min = 0
-                scheduler.remove_warp(warp)
-        tb.warps = []
+            # The index set at dispatch replaces an O(schedulers x warps)
+            # membership probe per warp.
+            scheduler = schedulers[warp.sched]
+            if scheduler.sleep_until:
+                self._wake_min = 0
+            scheduler.remove_warp(warp)
         self.tbs.remove(tb)
         self.tb_count[tb.kernel_idx] -= 1
         if not tb.evicting:

@@ -69,12 +69,15 @@ class SMResources:
 class ThreadBlock:
     """One resident TB: its warps, barrier bookkeeping, lifecycle flags.
 
-    ``SM.remove_tb`` empties ``warps`` when the TB leaves its SM, so the
-    TB and its warps (which keep ``warp.tb``) form no reference cycle.
+    The TB owns its warps; each warp points back through a weak reference
+    (``warp.tb``), so a TB and its warps form no reference cycle and die
+    together once the SM (or an in-flight eviction) lets go of the TB.
     """
 
     __slots__ = ("tb_id", "kernel_idx", "spec", "warps", "barrier_arrived",
-                 "done_warps", "evicting", "dispatch_cycle")
+                 "done_warps", "evicting", "dispatch_cycle",
+                 # The target of the warps' ``warp.tb`` references.
+                 "__weakref__")
 
     def __init__(self, tb_id: int, kernel_idx: int, spec: KernelSpec,
                  dispatch_cycle: int):

@@ -5,9 +5,15 @@ kernel's :class:`~repro.kernels.WarpProgram`, a readiness cycle, and the
 per-warp address-generation state (a 32-bit LCG plus a streaming cursor).
 Everything is ``__slots__`` plain data — warps are touched every cycle and
 this is the hottest object in the simulator.
+
+A warp holds no strong reference to what owns it: it reaches its thread
+block through a weak reference and its scheduler through an index into
+its SM's scheduler list, so the machine holds no reference cycle.
 """
 
 from __future__ import annotations
+
+import weakref
 
 
 class WarpState:
@@ -27,21 +33,26 @@ _LCG_MASK = 0xFFFFFFFF
 
 
 class Warp:
-    """One warp of a resident thread block."""
+    """One warp of a resident thread block.
+
+    ``tb`` is a ``weakref.ref`` to the block (call it for the block): the
+    block owns its warps, and all warps of a block share one reference
+    (``weakref.ref`` hands back the block's existing one).
+    """
 
     __slots__ = (
         "kernel_idx", "tb", "warp_id_in_tb", "pc", "ready_at", "state",
         "lcg", "cursor", "last_line",
-        # Scheduler bookkeeping: ``sched`` is a back-reference to the owning
-        # scheduler (set at add_warp, cleared at remove_warp) so TB removal
-        # never probes every scheduler.
+        # Scheduler bookkeeping: ``sched`` is the index in ``SM.schedulers``
+        # of the scheduler hosting this warp (set by ``SM.dispatch_tb``),
+        # so TB removal never probes every scheduler.
         "sched",
     )
 
     def __init__(self, kernel_idx: int, tb, warp_id_in_tb: int, seed: int,
                  start_cursor: int):
         self.kernel_idx = kernel_idx
-        self.tb = tb
+        self.tb = weakref.ref(tb)
         self.warp_id_in_tb = warp_id_in_tb
         self.pc = 0
         self.ready_at = 0
@@ -49,7 +60,7 @@ class Warp:
         self.lcg = seed & _LCG_MASK or 1
         self.cursor = start_cursor
         self.last_line = start_cursor
-        self.sched = None
+        self.sched = 0
 
     def next_random(self) -> int:
         """Advance the per-warp LCG; returns a 32-bit pseudo-random int."""
@@ -86,6 +97,6 @@ class Warp:
         return tuple(lines)
 
     def __repr__(self) -> str:
-        return (f"Warp(k={self.kernel_idx}, tb={self.tb.tb_id}, "
+        return (f"Warp(k={self.kernel_idx}, tb={self.tb().tb_id}, "
                 f"w={self.warp_id_in_tb}, pc={self.pc}, "
                 f"state={WarpState.NAMES[self.state]})")

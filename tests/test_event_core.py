@@ -7,13 +7,18 @@ telemetry, to the scan oracle (the ``scan_oracle`` fixture: the same loop
 with ``SM.wake_hint`` pinned to 0, stepping every SM every cycle), for
 every sharing scheme plus the pid/mpc controllers and both scheduler
 policies, and for a served workload that launches and retires kernels
-mid-run.
+mid-run.  ``TestGeneratedDifferential`` draws the machine, the kernels,
+the policy and the window instead of picking them.
 """
 
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import GPUConfig, SMConfig
 from repro.harness.runner import make_policy
+from repro.kernels import synthetic
 from repro.kernels.spec import InstructionMix, KernelSpec, MemoryPattern
 from repro.sim import GPUSimulator, LaunchedKernel, SharingPolicy
 
@@ -241,3 +246,69 @@ class TestServedWorkloadDifferential:
         assert base.sim_result is not None
         assert any(record.sleep_skipped_sm_cycles
                    for record in base.telemetry)
+
+
+def generated_kernel(name):
+    """A synthetic kernel, or a plain ``KernelSpec``, cut short so its TBs
+    finish and redispatch inside the window, with a drawn TB size and the
+    per-iteration barrier on or off.  A one-warp TB whose body ends in a
+    barrier releases that barrier with its own last instruction."""
+    bases = st.sampled_from((
+        synthetic.compute_kernel(), synthetic.streaming_kernel(),
+        synthetic.irregular_kernel(), synthetic.cache_resident_kernel(),
+        synthetic.barrier_kernel(), spec("plain")))
+    return st.builds(
+        lambda base, threads, barrier, body, iterations: dataclasses.replace(
+            base, name=name, threads_per_tb=threads,
+            mix=dataclasses.replace(base.mix, barrier_per_iteration=barrier),
+            body_length=body, iterations_per_tb=iterations),
+        base=bases,
+        threads=st.sampled_from((32, 64, 128)),
+        barrier=st.booleans(),
+        body=st.integers(6, 24),
+        iterations=st.integers(1, 3))
+
+
+@st.composite
+def generated_runs(draw):
+    policy = draw(st.sampled_from(("smk", "naive", "rollover", "spart",
+                                   "pid")))
+    # Spart partitions whole SMs: at least one per kernel.
+    gpu = GPUConfig(num_sms=draw(st.integers(2 if policy == "spart" else 1,
+                                             3)),
+                    num_mcs=draw(st.integers(1, 2)),
+                    epoch_length=draw(st.sampled_from((200, 300, 500))),
+                    idle_warp_samples=draw(st.sampled_from((4, 10))),
+                    sm=SMConfig(warp_schedulers=draw(st.integers(1, 2))),
+                    scheduler_policy=draw(st.sampled_from(("gto", "lrr"))))
+    specs = (draw(generated_kernel("gen-qos")),
+             draw(generated_kernel("gen-bg")))
+    goal = draw(st.sampled_from((10.0, 40.0, 120.0)))
+    cycles = draw(st.integers(800, 2500))
+    return gpu, specs, goal, policy, cycles
+
+
+def run_generated(gpu, specs, goal, policy, cycles):
+    sim = GPUSimulator(gpu, [LaunchedKernel(specs[0], is_qos=True,
+                                            ipc_goal=goal),
+                             LaunchedKernel(specs[1])], make_policy(policy))
+    sim.run(cycles)
+    sampling = [(sm.idle_samples, tuple(sm.idle_sum)) for sm in sim.sms]
+    return sim.result(), sampling
+
+
+class TestGeneratedDifferential:
+    """The event core equals the scan oracle on drawn inputs: small
+    machines, two synthetic kernels, a paper scheme, Spart or a PID
+    controller, and a short window.  Seeded and derandomised, so every
+    run draws the same examples."""
+
+    # ``scan_oracle`` returns a context-manager factory and keeps no
+    # state, so one instance serves every example; the oracle is entered
+    # afresh in the body of each.
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run=generated_runs())
+    def test_event_core_matches_oracle(self, scan_oracle, run):
+        assert_matches_oracle(scan_oracle, run_generated, *run)

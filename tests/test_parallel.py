@@ -1,6 +1,7 @@
 """Determinism and equivalence tests for the parallel sweep executor."""
 
 import json
+import os
 
 import pytest
 
@@ -135,6 +136,39 @@ class TestTelemetrySweepEquivalence:
         assert warm_cache.hits >= len(SPECS)
 
 
+class _DiesComputingACase:
+    """A pool worker's runner that exits the way a killed process does
+    (``os._exit``) when it starts the first co-run case any worker of the
+    sweep computes; it writes ``marker`` first, so only one worker dies
+    and the test can tell it did.  Isolated denominators run as usual."""
+
+    def __init__(self, runner, marker):
+        self.runner = runner
+        self.marker = marker
+
+    def _simulate_isolated(self, name):
+        return self.runner._simulate_isolated(name)
+
+    def _compute(self, spec):
+        try:
+            open(self.marker, "x").close()
+        except FileExistsError:
+            return self.runner._compute(spec)
+        os._exit(1)
+
+
+class _RunnerWithADyingWorker(ParallelCaseRunner):
+    """The dying behaviour rides in the runner ``_pool_worker`` hands to
+    the pool, so it reaches the workers under any start method."""
+
+    def __init__(self, *args, marker, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.marker = marker
+
+    def _pool_worker(self):
+        return _DiesComputingACase(super()._pool_worker(), self.marker)
+
+
 class TestSerialFallback:
     """A pool the platform refuses, or one whose workers die mid-sweep,
     degrades the sweep to the in-process claim loop: same records, and
@@ -153,3 +187,20 @@ class TestSerialFallback:
         assert (json.dumps([record_to_dict(r) for r in records])
                 == json.dumps([record_to_dict(r) for r in serial_records]))
         assert db.experiment(runner.experiment_log[0][0])["status"] == "done"
+
+    def test_worker_killed_mid_claim(self, tmp_path, serial_records):
+        # A worker process exits while computing a case it claimed: the
+        # pool breaks, the sweep hands the claimed cases back and finishes
+        # them in-process, with the records a serial sweep gives.
+        db = ExperimentDB(tmp_path / "exp.sqlite")
+        marker = tmp_path / "worker-died"
+        runner = _RunnerWithADyingWorker(FAST_GPU, CYCLES, workers=2,
+                                         expdb=db, marker=str(marker))
+        records = runner.sweep(SPECS)
+        assert marker.exists()  # a worker really died
+        assert (json.dumps([record_to_dict(r) for r in records])
+                == json.dumps([record_to_dict(r) for r in serial_records]))
+        experiment_id = runner.experiment_log[0][0]
+        assert [row["status"] for row in db.cases(experiment_id)] == \
+            ["done"] * len(SPECS)
+        assert db.experiment(experiment_id)["status"] == "done"

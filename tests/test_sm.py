@@ -72,6 +72,15 @@ class TestDispatch:
         counts = [len(s.warps) for s in harness.sm.schedulers]
         assert counts == [2, 2]
 
+    def test_each_warp_names_the_scheduler_hosting_it(self):
+        harness = Harness([alu_spec()])
+        harness.sm.dispatch_tb(0, 0, 0)
+        tb = harness.sm.dispatch_tb(0, 1, 0)
+        assert [warp.sched for warp in tb.warps] == [0, 1]
+        for warp in tb.warps:
+            assert warp in harness.sm.schedulers[warp.sched].warps
+            assert warp.tb() is tb
+
     def test_remove_tb_releases_everything(self):
         harness = Harness([alu_spec()])
         tb = harness.sm.dispatch_tb(0, 0, 0)

@@ -99,8 +99,12 @@ class TestWarpState:
         assert WarpState.NAMES[WarpState.DONE] == "DONE"
 
     def test_repr_mentions_state(self):
-        warp = make_warp(make_runtime())
+        runtime = make_runtime()
+        # The warp holds its TB weakly: keep the TB alive to read its id.
+        tb = ThreadBlock(3, runtime.kernel_idx, runtime.spec, 0)
+        warp = Warp(runtime.kernel_idx, tb, 0, seed=1, start_cursor=0)
         assert "RUNNING" in repr(warp)
+        assert "tb=3" in repr(warp)
 
     def test_zero_seed_replaced(self):
         tb = ThreadBlock(0, 0, KernelSpec(name="s"), 0)
